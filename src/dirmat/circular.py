@@ -29,6 +29,9 @@ from .network import EH, MultiGraph, Network
 
 INSULATOR_LIMIT = 20
 
+# what a circular network caches of its drawing (dropped when it is redrawn)
+_DUALITY_KEYS = ("duality:matroid", "duality:dual_network", "duality:dual_matroid")
+
 
 # -- face tracing ----------------------------------------------------------
 #
@@ -169,6 +172,8 @@ class CircularNetwork(Network):
         return _tail(self.edges, dart)
 
     def _embed(self):
+        for key in _DUALITY_KEYS:
+            self._cache.pop(key, None)
         faces = _trace_faces(self.edges, self.rotation)
         nf = len(faces)
         need = 2 - len(self.vertices) + len(self.edges)
@@ -506,7 +511,7 @@ def insulators(cnet, exhaustive=None):
         raise GroundTooLarge(
             f"insulator scan over {n} edges (limit {INSULATOR_LIMIT})"
         )
-    dual = dual_network(cn)
+    dual = _derived(cn, "duality:dual_network")
     cocs = network_cocircuits(cn)
     found = sorted(
         (z - {EH} for z in cocs if EH in z), key=lambda z: (len(z), sorted(z))
@@ -615,6 +620,21 @@ def _is_circuit(matroid, labels):
     return True
 
 
+def _derived(cn, key):
+    """The network's matroid, its dual network or the dual's matroid (one
+    key of _DUALITY_KEYS), built once per drawing and kept in the cache."""
+    got = cn._cache.get(key)
+    if got is None:
+        if key == "duality:matroid":
+            got = dirichlet_matroid(cn)
+        elif key == "duality:dual_network":
+            got = dual_network(cn)
+        else:
+            got = dirichlet_matroid(_derived(cn, "duality:dual_network"))
+        cn._cache[key] = got
+    return got
+
+
 def min_circuit_cover(cnet, target):
     """Fewest distinct circuits of the dual matroid covering a cocircuit.
 
@@ -627,13 +647,12 @@ def min_circuit_cover(cnet, target):
     cn = _as_circular(cnet)
     tset = frozenset(target)
     cn.require_edges(tset)
-    matroid = dirichlet_matroid(cn)
+    matroid = _derived(cn, "duality:matroid")
     if not _is_cocircuit(matroid, tset):
         raise NotACocircuit(f"{sorted(tset)} is not a cocircuit")
     if EH not in tset:
         raise NotACocircuit("the target must contain the extra element")
-    dual = dual_network(cn)
-    dual_matroid = dirichlet_matroid(dual)
+    dual_matroid = _derived(cn, "duality:dual_matroid")
     circs = sorted(
         dual_matroid.circuits(within=tset, limit=INSULATOR_LIMIT),
         key=lambda c: sorted(c),
@@ -699,7 +718,7 @@ def duality_theorem_check(cnet):
     """
     cn = _as_circular(cnet)
     m = len(cn.boundary)
-    matroid = dirichlet_matroid(cn)
+    matroid = _derived(cn, "duality:matroid")
     graph_dual = Matroid.graphic(og_dual(cn))
     rows = []
     ok = True
@@ -734,7 +753,7 @@ def duality_theorem_check(cnet):
         "rows": rows,
     }
     if m == 2:
-        dual_matroid = dirichlet_matroid(dual_network(cn))
+        dual_matroid = _derived(cn, "duality:dual_matroid")
         ident = {e: e for e in list(cn.edge_order) + [EH]}
         iso = matroid.dual().iso_check(dual_matroid, mapping=ident)
         if iso is None:

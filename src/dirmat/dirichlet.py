@@ -1,12 +1,13 @@
-"""The matroid of a network, by several independent routes.
+"""The matroid of a network, by two independent rank engines.
 
 The boundary-identified graph carries a biased structure: a circle is
 unbalanced exactly when it is a boundary-to-boundary path of the original
 graph (a crossing). The network matroid is the lift of this biased graph by
-one extra element, and equivalently the frame matroid of the cone (the
-biased graph plus one unbalanced loop at the hub). A third route goes
+one extra element; that is the default rank engine. The other engine goes
 through groves: bases are the one-crossing groves and the crossing-free
-groves with the extra element added.
+groves with the extra element added. The lift description also gives the
+cocircuits directly (`network_cocircuits`), and the module holds the
+graph-side connectivity criteria.
 """
 
 from .errors import (
@@ -339,15 +340,46 @@ def _check_cocircuit(rank, full_mask, r, zmask):
     return True
 
 
-def network_cocircuits(net, node_limit=4_000_000):
-    """All cocircuits of the network matroid.
+def _rim_order(net):
+    """Interior vertices in breadth-first order from the boundary."""
+    order = []
+    seen = set(net.boundary)
+    frontier = list(net.boundary)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for _, y in net.adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return order
 
-    Hyperplanes of the lift either contain the extra element (their edge
-    part has two components, so the cocircuit is a bond of the
-    boundary-identified graph) or are maximal balanced spanning-connected
-    edge sets (cocircuit = complement plus the extra element). Both families
-    are enumerated directly and every candidate is re-verified against the
-    rank oracle.
+
+def network_cocircuits(net, node_limit=4_000_000):
+    """All cocircuits of the network matroid, sorted by size, then labels.
+
+    A hyperplane of the lift either holds the extra element or not.
+
+    - If it does, its edge part has two components in the
+      boundary-identified graph, and the cocircuit is a bond of that graph.
+      These come from a scan over the connected vertex bipartitions.
+    - If it does not, it is a maximal balanced edge set that spans the
+      identified graph as one component. In the original graph every
+      component of such a set holds exactly one boundary node, so it is
+      given by a labelling of the interior vertices by boundary nodes in
+      which every label class, together with its boundary node, is
+      connected. The set is every edge whose ends carry the same label (a
+      boundary node carries itself), and the cocircuit is the extra element
+      plus every edge whose ends carry different labels.
+
+    The labellings are found by backtracking over the interior vertices in
+    breadth-first order from the rim. A branch is cut as soon as some
+    labelled vertex can no longer reach its label's boundary node through
+    vertices that carry the same label or none yet, so every leaf is a
+    cocircuit. `node_limit` bounds the labellings tried (GraphTooLarge when
+    it trips). Every candidate is re-verified against the rank oracle.
     """
     og, hub = identify_boundary(net)
     order = net.edge_order
@@ -394,58 +426,60 @@ def network_cocircuits(net, node_limit=4_000_000):
         if zmask and _check_cocircuit(rank, full, r, zmask):
             out.append(zmask)
 
-    # maximal balanced spanning-connected sets
-    cross_masks = []
-    for c in crossings(net):
-        m = 0
-        for e in c:
-            m |= 1 << eidx[e]
-        cross_masks.append(m)
-    full_e = (1 << n) - 1
+    # boundary labellings: vertex i < m is boundary node i and labels itself
+    bd = net.boundary
+    m = len(bd)
+    vlist = list(bd) + _rim_order(net)
+    vpos = {v: i for i, v in enumerate(vlist)}
+    nbr = [0] * len(vlist)
+    ends = []
+    for i, e in enumerate(order):
+        a, b = vpos[net.edges[e][0]], vpos[net.edges[e][1]]
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+        ends.append((a, b, 1 << i))
+    label = list(range(m)) + [0] * (len(vlist) - m)
+    cls = [1 << b for b in range(m)]
+    free = (1 << len(vlist)) - (1 << m)
+    budget = node_limit
 
-    seen_sets = set()
-    maximal = []
-    budget = [node_limit]
+    def reaches(b):
+        # every vertex labelled b is joined to b through b's and free vertices
+        allowed = cls[b] | free
+        seen = front = 1 << b
+        while front:
+            grow = 0
+            while front:
+                low = front & -front
+                grow |= nbr[low.bit_length() - 1]
+                front ^= low
+            front = grow & allowed & ~seen
+            seen |= front
+        return cls[b] & ~seen == 0
 
-    def first_crossing_within(s):
-        for cm in cross_masks:
-            if cm & s == cm:
-                return cm
-        return 0
-
-    def rec(s):
-        if s in seen_sets:
+    def search(v):
+        nonlocal free, budget
+        if v == len(vlist):
+            zmask = eh_bit
+            for a, b, bit in ends:
+                if label[a] != label[b]:
+                    zmask |= bit
+            if _check_cocircuit(rank, full, r, zmask):
+                out.append(zmask)
             return
-        if budget[0] <= 0:
-            raise GraphTooLarge("cocircuit search exceeded its node budget")
-        budget[0] -= 1
-        seen_sets.add(s)
-        cm = first_crossing_within(s)
-        if cm:
-            m = cm
-            while m:
-                b = m & -m
-                rec(s & ~b)
-                m ^= b
-            return
-        # balanced; maximal iff every absent edge completes a crossing
-        m = full_e & ~s
-        while m:
-            b = m & -m
-            if not any(c & ~(s | b) == 0 for c in cross_masks):
-                return
-            m ^= b
-        maximal.append(s)
+        free ^= 1 << v
+        for b in range(m):
+            budget -= 1
+            if budget < 0:
+                raise GraphTooLarge("cocircuit search exceeded its node budget")
+            label[v] = b
+            cls[b] |= 1 << v
+            if all(reaches(c) for c in range(m) if cls[c] != 1 << c):
+                search(v + 1)
+            cls[b] ^= 1 << v
+        free |= 1 << v
 
-    rec(full_e)
-    for s in maximal:
-        # spanning-connected check via the rank function: balanced with one
-        # component means rank nv - 1
-        if rank(s) != nv - 1:
-            continue
-        zmask = (full_e & ~s) | eh_bit
-        if _check_cocircuit(rank, full, r, zmask):
-            out.append(zmask)
+    search(m)
 
     labels = list(order) + [EH]
 

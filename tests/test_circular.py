@@ -1,6 +1,7 @@
 import pytest
 
 from dirmat.circular import (
+    _DUALITY_KEYS,
     CircularNetwork,
     dual_network,
     duality_theorem_check,
@@ -11,7 +12,7 @@ from dirmat.circular import (
     sphere_dual,
     validate_embedding,
 )
-from dirmat.dirichlet import dirichlet_matroid
+from dirmat.dirichlet import dirichlet_matroid, network_cocircuits
 from dirmat.errors import (
     BoundaryOrderMismatch,
     ConsistencyError,
@@ -145,6 +146,18 @@ def test_min_cover_rejects_non_cocircuit():
         min_circuit_cover(net, frozenset({"e1", EH}))
     with pytest.raises(NotACocircuit):
         min_circuit_cover(net, frozenset({"e1", "e2"}))
+
+
+def test_cover_reuses_matroids_until_redrawn():
+    net = sunflower(3)
+    target = next(z for z in network_cocircuits(net) if EH in z)
+    first = min_circuit_cover(net, target)
+    built = {key: net._cache[key] for key in _DUALITY_KEYS}
+    assert min_circuit_cover(net, target) == first
+    assert all(net._cache[key] is obj for key, obj in built.items())
+    validate_embedding(net)
+    assert not any(key in net._cache for key in _DUALITY_KEYS)
+    assert min_circuit_cover(net, target) == first
 
 
 def test_figure_cover_sizes():

@@ -1,13 +1,17 @@
 import random
 
+import pytest
+
 from dirmat.dirichlet import (
     connectivity_criteria,
     dirichlet_matroid,
     network_cocircuits,
     vertical_biseparations,
 )
+from dirmat.errors import BadParameter, GraphTooLarge
 from dirmat.families import (
     double_path,
+    double_sunflower,
     hexwheel,
     path,
     random_network,
@@ -16,8 +20,9 @@ from dirmat.families import (
     triangle,
 )
 from dirmat.network import EH
+from dirmat.verify import circular_corpus, corpus
 
-from bruteforce import brute_independent
+from bruteforce import brute_independent, recursion_cocircuits
 
 
 def test_independence_definition_random_nets():
@@ -98,3 +103,33 @@ def test_cocircuits_are_minimal():
             assert M.rank(ground - z) == r - 1
             for x in z:
                 assert M.rank((ground - z) | {x}) == r
+
+
+def _seeded_random_networks(count):
+    nets = []
+    seed = 0
+    while len(nets) < count:
+        try:
+            nets.append(random_network(7, 3, 0.5, seed))
+        except BadParameter:
+            pass
+        seed += 1
+    return nets
+
+
+def test_cocircuits_match_recursion():
+    """The labelling search gives the recursion's ordered tuple exactly."""
+    nets = corpus() + circular_corpus() + [sunflower(6)]
+    nets += _seeded_random_networks(24)
+    for net in nets:
+        assert network_cocircuits(net) == recursion_cocircuits(net), net.name
+
+
+def test_cocircuit_counts_pinned():
+    for net, total in [(sunflower(7), 2180), (double_sunflower(8), 10909)]:
+        assert len(network_cocircuits(net)) == total
+
+
+def test_cocircuit_search_node_limit():
+    with pytest.raises(GraphTooLarge):
+        network_cocircuits(double_sunflower(6), node_limit=100)

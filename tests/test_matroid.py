@@ -8,6 +8,7 @@ from dirmat.errors import GroundTooLarge
 from dirmat.families import path, star, triangle, wheatstone
 from dirmat.matroid import Matroid, beta_from_char_poly
 from dirmat.network import EH, MultiGraph, add_boundary_clique
+from dirmat.verify import circular_corpus, corpus
 
 from bruteforce import brute_independent, brute_rank
 
@@ -81,9 +82,12 @@ def test_path3_matroid_is_graphic_triangle():
 
 
 def test_cocircuit_routes_agree():
-    for net in [path(3), star(3), triangle(), wheatstone()]:
+    nets = corpus() + circular_corpus()
+    nets = [net for net in nets if len(net.edges) + 1 <= 16]
+    assert len(nets) >= 40
+    for net in nets:
         M = dirichlet_matroid(net)
-        assert set(M.cocircuits()) == set(network_cocircuits(net))
+        assert set(M.cocircuits()) == set(network_cocircuits(net)), net.name
 
 
 def test_basis_exchange():
