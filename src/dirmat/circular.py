@@ -12,7 +12,7 @@ boundary orders are matched up to rotation and reversal, and duals are
 likewise produced up to that ambiguity.
 """
 
-from .dirichlet import dirichlet_matroid, network_cocircuits
+from .dirichlet import _check_cocircuit, dirichlet_matroid, network_cocircuits
 from .errors import (
     BadParameter,
     BoundaryOrderMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     NotACocircuit,
     NotPlanar,
 )
-from .matroid import Matroid
+from .matroid import Matroid, graphic_rank
 from .network import EH, MultiGraph, Network
 
 INSULATOR_LIMIT = 20
@@ -470,31 +470,21 @@ def relabel_iso(a, b):
 # -- insulators --------------------------------------------------------------
 
 
-def _connects_rim(dual, edge_set):
-    """True when the given dual edges put every rim region in one piece."""
-    parent = {}
+def _rim_test(dual, order):
+    """A test on bitmasks over `order`: do the set's dual edges put every
+    rim region in one piece?
 
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for e in edge_set:
-        u, v = dual.edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    roots = {find(b) for b in dual.boundary}
-    if len(roots) != 1:
-        return False
-    # every rim region must actually be touched by the edge set
-    touched = set()
-    for e in edge_set:
-        touched.update(dual.edges[e])
-    return all(b in touched for b in dual.boundary)
+    The bits past the edges carry a path through the rim regions. The edges
+    join them all exactly when adding that path leaves the graphic rank
+    unchanged; they then touch every rim region as well, since there are at
+    least two.
+    """
+    vidx = {v: i for i, v in enumerate(dual.vertices)}
+    ends = [(vidx[dual.edges[e][0]], vidx[dual.edges[e][1]]) for e in order]
+    rim = [vidx[b] for b in dual.boundary]
+    rank = graphic_rank(len(vidx), ends + list(zip(rim, rim[1:])))
+    path = ((1 << (len(rim) - 1)) - 1) << len(order)
+    return lambda mask: rank(mask | path) == rank(mask)
 
 
 def insulators(cnet, exhaustive=None):
@@ -516,49 +506,24 @@ def insulators(cnet, exhaustive=None):
     found = sorted(
         (z - {EH} for z in cocs if EH in z), key=lambda z: (len(z), sorted(z))
     )
+    order = cn.edge_order
+    eidx = {e: i for i, e in enumerate(order)}
+    connects = _rim_test(dual, order)
     for y in found:
-        if not _connects_rim(dual, y):
+        ymask = sum(1 << eidx[e] for e in y)
+        if not connects(ymask):
             raise ConsistencyError(
                 f"{sorted(y)} does not join every rim region in the dual"
             )
         for e in y:
-            if _connects_rim(dual, y - {e}):
+            if connects(ymask ^ 1 << eidx[e]):
                 raise ConsistencyError(
                     f"{sorted(y)} is not minimal: {e!r} is redundant"
                 )
     if exhaustive is None:
         exhaustive = n <= 16
     if exhaustive:
-        order = cn.edge_order
-        ends = [dual.edges[e] for e in order]
-        vidx = {v: i for i, v in enumerate(dual.vertices)}
-        bidx = [vidx[b] for b in dual.boundary]
-        nv = len(dual.vertices)
-        conn = bytearray(1 << n)
-        for mask in range(1 << n):
-            parent = list(range(nv))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            t = mask
-            touched = 0
-            while t:
-                bit = t & -t
-                u, v = ends[bit.bit_length() - 1]
-                iu, iv = vidx[u], vidx[v]
-                touched |= (1 << iu) | (1 << iv)
-                ru, rv = find(iu), find(iv)
-                if ru != rv:
-                    parent[ru] = rv
-                t ^= bit
-            if all(touched >> i & 1 for i in bidx):
-                root = find(bidx[0])
-                if all(find(i) == root for i in bidx[1:]):
-                    conn[mask] = 1
+        conn = bytearray(connects(mask) for mask in range(1 << n))
         brute = []
         for mask in range(1, 1 << n):
             if not conn[mask]:
@@ -590,18 +555,9 @@ def _is_cocircuit(matroid, labels):
     zmask = matroid.mask_of(labels)
     if zmask == 0:
         return False
-    full = matroid.full_mask
-    r = matroid.full_rank()
-    hmask = full & ~zmask
-    if matroid.rank_mask(hmask) != r - 1:
-        return False
-    t = zmask
-    while t:
-        bit = t & -t
-        if matroid.rank_mask(hmask | bit) != r:
-            return False
-        t ^= bit
-    return True
+    return _check_cocircuit(
+        matroid.rank_mask, matroid.full_mask, matroid.full_rank(), zmask
+    )
 
 
 def _is_circuit(matroid, labels):

@@ -46,8 +46,7 @@ def _load_network(args):
     if getattr(args, "gen", None):
         return parse_generator(args.gen)
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return Network.from_json(json.load(fh))
+        return Network.from_file(args.file)
     return None
 
 

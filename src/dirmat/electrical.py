@@ -42,15 +42,6 @@ class WeightedLaplacian:
         self.B = B
         self.D = D
 
-    def full_matrix(self):
-        rows = []
-        for i, _ in enumerate(self.boundary_order):
-            rows.append(list(self.A[i]) + list(self.B[i]))
-        for i, _ in enumerate(self.interior_order):
-            rows.append([self.B[j][i] for j in range(len(self.boundary_order))] + list(self.D[i]))
-        return rows
-
-
 class ResponseMatrix:
     __slots__ = ("boundary_order", "entries", "det_interior")
 
@@ -153,36 +144,6 @@ def response(net, x):
             if entries[i][j] != entries[j][i]:
                 raise ConsistencyError("response matrix is not symmetric")
     return ResponseMatrix(lap.boundary_order, entries, det)
-
-
-def harmonic_extension(net, x, u):
-    """Interior potentials for boundary values u, with the block identity check.
-
-    Returns the interior assignment v solving the interior rows, and verifies
-    that the full Laplacian sends (u, v) to (response * u, 0) exactly.
-    """
-    lap = laplacian(net, x)
-    m = len(lap.boundary_order)
-    k = len(lap.interior_order)
-    uvec = [Fraction(u[b]) for b in lap.boundary_order]
-    rhs = [[-sum(lap.B[j][i] * uvec[j] for j in range(m))] for i in range(k)]
-    det, X = _solve_and_det(lap.D, rhs) if k else (Fraction(1), [])
-    if det == 0:
-        raise SingularInterior("interior block is singular at this point")
-    vvec = [X[i][0] for i in range(k)]
-    lam = response(net, x)
-    want = [sum(lam.entries[i][j] * uvec[j] for j in range(m)) for i in range(m)]
-    for i in range(m):
-        got = sum(lap.A[i][j] * uvec[j] for j in range(m))
-        got += sum(lap.B[i][t] * vvec[t] for t in range(k))
-        if got != want[i]:
-            raise ConsistencyError("boundary row of the harmonic identity failed")
-    for i in range(k):
-        got = sum(lap.B[j][i] * uvec[j] for j in range(m))
-        got += sum(lap.D[i][t] * vvec[t] for t in range(k))
-        if got != 0:
-            raise ConsistencyError("interior row of the harmonic identity failed")
-    return dict(zip(lap.interior_order, vvec))
 
 
 # -- bulk evaluation of set-family polynomials at integer points ------------
@@ -317,33 +278,6 @@ def _pair_evaluators(net):
         return out
 
     return _cached(net, "pair_evaluators", build)
-
-
-def delta_eval(f, g, e1, e2, x):
-    """Rayleigh difference, bilinear form, and Wronskian at a point.
-
-    delta = d_e1 f * d_e2 f - f * d_e1 d_e2 f, evaluated at x;
-    bilinear = d_e1 f * d_e2 g + d_e2 f * d_e1 g - f * d_e1 d_e2 g - g * d_e1 d_e2 f;
-    wronskian = f * d_e1 g - d_e1 f * g (only e1 enters).
-    For multiaffine inputs the repeated partial d_e d_e vanishes, so diagonal
-    pairs are allowed and give delta = (d_e1 f)^2.
-    """
-    fe1 = f.partial(e1)
-    fe2 = f.partial(e2)
-    fe12 = fe1.partial(e2)
-    ge1 = g.partial(e1)
-    ge2 = g.partial(e2)
-    ge12 = ge1.partial(e2)
-    fv, gv = f.eval(x), g.eval(x)
-    delta = fe1.eval(x) * fe2.eval(x) - fv * fe12.eval(x)
-    bilinear = (
-        fe1.eval(x) * ge2.eval(x)
-        + fe2.eval(x) * ge1.eval(x)
-        - fv * ge12.eval(x)
-        - gv * fe12.eval(x)
-    )
-    wronskian = fv * ge1.eval(x) - fe1.eval(x) * gv
-    return {"delta": delta, "bilinear": bilinear, "wronskian": wronskian}
 
 
 def identity_sweep(net, trials=200, seed=0):

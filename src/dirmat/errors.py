@@ -98,10 +98,6 @@ class NoCover(DomainError):
     pass
 
 
-class LoopContraction(DomainError):
-    pass
-
-
 class ConsistencyError(DomainError):
     """Two routes that must agree did not.  Always a bug or a genuinely
     pathological input; never expected on shipped examples."""

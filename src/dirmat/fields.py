@@ -1,7 +1,7 @@
 """Small exact fields: the rationals, prime fields, and GF(4).
 
 Field objects expose a tiny uniform protocol (zero/one/add/mul/neg/inv/
-coerce/fmt/element_stream) so elimination code is field-agnostic. GF(4) is
+coerce/element_stream) so elimination code is field-agnostic. GF(4) is
 the one non-prime field required; its elements are 0, 1, w, w+1 coded as
 0..3 with xor addition.
 """
@@ -45,9 +45,6 @@ class FieldQ:
     def element_stream(self):
         return (Fraction(k) for k in count())
 
-    def fmt(self, x):
-        return str(x)
-
 
 class FieldGFp:
     def __init__(self, p):
@@ -87,9 +84,6 @@ class FieldGFp:
 
     def element_stream(self):
         return iter(range(self.p))
-
-    def fmt(self, x):
-        return f"{x % self.p} mod {self.p}"
 
 
 class FieldGF4:
@@ -139,9 +133,6 @@ class FieldGF4:
 
     def element_stream(self):
         return iter(range(4))
-
-    def fmt(self, x):
-        return self._NAMES[x]
 
 
 def make_field(spec):

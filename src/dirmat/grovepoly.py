@@ -8,7 +8,7 @@ by a falling factorial.
 """
 
 from .errors import BadParameter, GraphTooLarge
-from .network import EH, MultiGraph, add_boundary_clique, grove_crossing, groves
+from .network import MultiGraph, add_boundary_clique, grove_crossing, groves
 from .polynomials import IntPoly, MultiAffinePoly
 
 
@@ -47,19 +47,6 @@ def grove_polys(net):
     out = {"P0": p0, "P1": p1, "pairs": pairs}
     net._cache["grove_polys"] = out
     return out
-
-
-def basis_gen_poly(net):
-    """Weighted basis count of the network matroid, eh getting its own variable.
-
-    Bases split into the one-crossing groves (no eh) and the no-crossing
-    groves with eh added, so this equals P1 + x_eh * P0 over the extended
-    variable list.
-    """
-    variables = net.edge_order + (EH,)
-    family = list(groves(net, "one-crossing"))
-    family += [fs | {EH} for fs in groves(net, "no-crossing")]
-    return MultiAffinePoly.from_set_family(family, variables)
 
 
 _chromatic_cache = {}

@@ -37,9 +37,6 @@ class RepMatrix:
         self.scalars = scalars
         self.note = note
 
-    def column(self, j):
-        return [self.entries[i][j] for i in range(len(self.rows))]
-
     def submatrix_rank(self, col_indices):
         F = self.field
         mat = [[self.entries[i][j] for j in col_indices] for i in range(len(self.rows))]
@@ -53,20 +50,6 @@ class RepMatrix:
             return self.submatrix_rank(chosen)
 
         return Matroid(self.cols, rank, name=name)
-
-    def formatted(self):
-        F = self.field
-        return [[F.fmt(x) for x in row] for row in self.entries]
-
-
-def matrix_rank(mx, cols):
-    """Rank of the submatrix on the given column labels."""
-    idx = {c: j for j, c in enumerate(mx.cols)}
-    bad = [c for c in cols if c not in idx]
-    if bad:
-        raise UnknownLabel(f"unknown columns {bad!r}")
-    return mx.submatrix_rank(sorted(idx[c] for c in cols))
-
 
 def rank_over_field(field, mat):
     """Row rank by straightforward elimination; mat is consumed-safe."""

@@ -42,9 +42,6 @@ class Matroid:
             e for e, i in self.index.items() if mask >> i & 1
         )
 
-    def sorted_labels(self, mask):
-        return tuple(sorted(self.labels_of(mask)))
-
     def _guard(self, limit, what):
         if len(self.ground) > limit:
             raise GroundTooLarge(
@@ -67,41 +64,6 @@ class Matroid:
             self._full_rank = self._rank_mask(self.full_mask)
         return self._full_rank
 
-    def independent(self, labels):
-        m = self.mask_of(labels)
-        return self._rank_mask(m) == m.bit_count()
-
-    def is_basis(self, labels):
-        m = self.mask_of(labels)
-        return (
-            m.bit_count() == self.full_rank()
-            and self._rank_mask(m) == self.full_rank()
-        )
-
-    def closure_mask(self, mask):
-        r = self._rank_mask(mask)
-        out = mask
-        for i in range(len(self.ground)):
-            if not mask >> i & 1 and self._rank_mask(mask | 1 << i) == r:
-                out |= 1 << i
-        return out
-
-    def closure(self, labels):
-        return self.sorted_labels(self.closure_mask(self.mask_of(labels)))
-
-    def loops(self):
-        return tuple(
-            e for e in self.ground if self._rank_mask(1 << self.index[e]) == 0
-        )
-
-    def coloops(self):
-        r = self.full_rank()
-        return tuple(
-            e
-            for e in self.ground
-            if self._rank_mask(self.full_mask & ~(1 << self.index[e])) == r - 1
-        )
-
     # -- enumerations -------------------------------------------------------
 
     def bases(self, limit=20):
@@ -123,20 +85,6 @@ class Matroid:
 
         grow(0, 0, 0)
         return tuple(sorted(out, key=sorted))
-
-    def flats(self, rank=None, limit=16):
-        """All flats (closed sets), optionally only those of a given rank."""
-        self._guard(limit, "flat enumeration")
-        out = []
-        for mask in range(1 << len(self.ground)):
-            if self.closure_mask(mask) != mask:
-                continue
-            if rank is None or self._rank_mask(mask) == rank:
-                out.append(self.labels_of(mask))
-        return tuple(sorted(out, key=sorted))
-
-    def hyperplanes(self, limit=16):
-        return self.flats(rank=self.full_rank() - 1, limit=limit)
 
     def circuits(self, within=None, limit=16):
         """All circuits (minimal dependent sets), optionally inside `within`."""
@@ -216,66 +164,14 @@ class Matroid:
         drop = [e for e in self.ground if e not in set(labels)]
         return self.minor(delete=drop)
 
-    def direct_sum(self, other):
-        if set(self.ground) & set(other.ground):
-            raise OverlappingSets("direct sum needs disjoint ground labels")
-        ground = self.ground + other.ground
-        na = len(self.ground)
-        amask = (1 << na) - 1
-        ra, rb = self._rank_mask, other._rank_mask
-
-        def rank(mask):
-            return ra(mask & amask) + rb(mask >> na)
-
-        return Matroid(ground, rank, name=f"{self.name}+{other.name}")
-
-    def relabel(self, mapping):
-        new = [mapping.get(e, e) for e in self.ground]
-        return Matroid(new, self._rank_mask, name=self.name)
-
-    @classmethod
-    def uniform(cls, r, labels):
-        labels = tuple(labels)
-        if r < 0 or r > len(labels):
-            raise BadParameter("uniform rank out of range")
-        return cls(
-            labels,
-            lambda m: min(r, m.bit_count()),
-            name=f"U({r},{len(labels)})",
-        )
-
     @classmethod
     def graphic(cls, mg):
         """Cycle matroid of a multigraph."""
-        order = mg.edge_order
         vidx = {v: i for i, v in enumerate(mg.vertices)}
         ends = [
-            (vidx[mg.edges[e][0]], vidx[mg.edges[e][1]]) for e in order
+            (vidx[mg.edges[e][0]], vidx[mg.edges[e][1]]) for e in mg.edge_order
         ]
-        nv = len(mg.vertices)
-
-        def rank(mask):
-            parent = list(range(nv))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            merges = 0
-            m = mask
-            while m:
-                b = m & -m
-                a, c = ends[b.bit_length() - 1]
-                ra, rc = find(a), find(c)
-                if ra != rc:
-                    parent[ra] = rc
-                    merges += 1
-                m ^= b
-            return merges
-
-        return cls(order, rank, name="M(graph)")
+        return cls(mg.edge_order, graphic_rank(len(vidx), ends), name="M(graph)")
 
     # -- invariants ---------------------------------------------------------
 
@@ -425,6 +321,35 @@ class Matroid:
         if extend(0, [(0, 0)]):
             return {self.ground[i]: other.ground[img[i]] for i in range(n)}
         return None
+
+
+def graphic_rank(nv, ends):
+    """Rank function of a cycle matroid on bitmasks.
+
+    Bit i of a mask is the edge joining the vertex indices ends[i] (of nv
+    vertices); the rank is the number of merges a union-find with path
+    halving makes over the set edges.
+    """
+
+    def rank(mask):
+        parent = list(range(nv))
+        merges = 0
+        while mask:
+            b = mask & -mask
+            a, c = ends[b.bit_length() - 1]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            if a != c:
+                parent[a] = c
+                merges += 1
+            mask ^= b
+        return merges
+
+    return rank
 
 
 def beta_from_char_poly(chi, rank):

@@ -58,17 +58,6 @@ class MultiGraph:
     def has_loop(self):
         return any(u == v for u, v in self.edges.values())
 
-    def loops(self):
-        return sorted(e for e, (u, v) in self.edges.items() if u == v)
-
-    def parallel_classes(self):
-        """Nontrivial classes of parallel non-loop edges, as sorted tuples."""
-        byends = {}
-        for e, (u, v) in self.edges.items():
-            if u != v:
-                byends.setdefault((u, v), []).append(e)
-        return sorted(tuple(sorted(es)) for es in byends.values() if len(es) > 1)
-
     def components(self):
         seen = set()
         out = []
@@ -89,14 +78,6 @@ class MultiGraph:
 
     def is_connected(self):
         return len(self.components()) <= 1
-
-    def restrict(self, edge_labels):
-        """Spanning subgraph keeping only the given edges."""
-        keep = set(edge_labels)
-        return MultiGraph(
-            self.vertices,
-            [(e, u, v) for e, (u, v) in self.edges.items() if e in keep],
-        )
 
     def simplify(self):
         """Simple graph on the same vertices: drop loops, collapse parallels.
@@ -201,13 +182,6 @@ class Network:
     def is_boundary(self, v):
         return v in self._bset
 
-    def other_end(self, e, v):
-        u, w = self.edges[e]
-        return w if v == u else u
-
-    def edge_index(self):
-        return {e: i for i, e in enumerate(self.edge_order)}
-
     def require_edges(self, labels):
         for e in labels:
             if e not in self.edges and e != EH:
@@ -268,7 +242,7 @@ class Network:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise BadParameter(f"invalid JSON: {exc}") from None
         return cls.from_json(data)
 
@@ -352,6 +326,18 @@ def crossings(net):
     return out
 
 
+def crossing_masks(net):
+    """The crossings as bitmasks over the edge order (not cached)."""
+    eidx = {e: i for i, e in enumerate(net.edge_order)}
+    out = []
+    for c in crossings(net):
+        m = 0
+        for e in c:
+            m |= 1 << eidx[e]
+        out.append(m)
+    return out
+
+
 def crossing_endpoints(net):
     """Map each crossing to its (sorted) pair of boundary endpoints."""
     crossings(net)
@@ -415,11 +401,6 @@ def blocks(net):
     return tuple(p[0] for p in block_decomposition(net))
 
 
-def tracts(net):
-    """The edge sets of the blocks. They partition the edge set."""
-    return tuple(p[1] for p in block_decomposition(net))
-
-
 def block_boundary_counts(net):
     """For each block, how many boundary nodes it contains."""
     return tuple(
@@ -433,6 +414,40 @@ def interior_is_connected(net):
 
 
 # -- groves ---------------------------------------------------------------
+
+
+class RollbackDSU:
+    """Union-find with undo; no path compression so undo stays exact."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.trail = []
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            self.trail.append(None)
+            return False
+        if self.size[ra] > self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        self.size[rb] += self.size[ra]
+        self.trail.append((ra, rb))
+        return True
+
+    def undo(self):
+        op = self.trail.pop()
+        if op is not None:
+            ra, rb = op
+            self.parent[ra] = ra
+            self.size[rb] -= self.size[ra]
+
 
 _GROVE_MODES = ("no-crossing", "one-crossing", "all")
 
@@ -452,34 +467,22 @@ def groves(net, mode="all"):
 
     order = net.edge_order
     n = len(order)
-    eidx = {e: i for i, e in enumerate(order)}
     vidx = {v: i for i, v in enumerate(net.vertices)}
     nv = len(net.vertices)
     ends = [(vidx[net.edges[e][0]], vidx[net.edges[e][1]]) for e in order]
     is_bd = [net.is_boundary(v) for v in net.vertices]
+    bd_idx = [vidx[b] for b in net.boundary]
 
-    cross_masks = []
-    for fs in crossings(net):
-        m = 0
-        for e in fs:
-            m |= 1 << eidx[e]
-        cross_masks.append(m)
     per_edge_cross = [[] for _ in range(n)]
-    for cm in cross_masks:
+    for cm in crossing_masks(net):
         for i in range(n):
             if cm >> i & 1:
                 per_edge_cross[i].append(cm)
 
     max_cross = {"no-crossing": 0, "one-crossing": 1, "all": n + 1}[mode]
 
-    parent = list(range(nv))
-    size = [1] * nv
-    meets_bd = list(is_bd)
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
+    dsu = RollbackDSU(nv)
+    find = dsu.find
 
     # remaining undecided-or-included incident edge count per vertex
     remaining = [0] * nv
@@ -490,36 +493,12 @@ def groves(net, mode="all"):
 
     out = []
     chosen_mask = 0
-    trail = []
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        old_flag = meets_bd[ra]
-        meets_bd[ra] = meets_bd[ra] or meets_bd[rb]
-        return (ra, rb, old_flag)
-
-    def undo(rec):
-        ra, rb, old_flag = rec
-        parent[rb] = rb
-        size[ra] -= size[rb]
-        meets_bd[ra] = old_flag
 
     def emit():
         # every included-edge component must reach the boundary
-        roots = set()
+        reach = {find(b) for b in bd_idx}
         for i in range(n):
-            if chosen_mask >> i & 1:
-                a, b = ends[i]
-                roots.add(find(a))
-                roots.add(find(b))
-        for r in roots:
-            if not meets_bd[r]:
+            if chosen_mask >> i & 1 and find(ends[i][0]) not in reach:
                 return
         fs = frozenset(order[i] for i in range(n) if chosen_mask >> i & 1)
         out.append(fs)
@@ -533,15 +512,13 @@ def groves(net, mode="all"):
         a, b = ends[i]
 
         # include branch
-        ra, rb = find(a), find(b)
-        if ra != rb:
+        if dsu.union(a, b):
             completed = 0
             new_mask = chosen_mask | (1 << i)
             for cm in per_edge_cross[i]:
                 if cm & new_mask == cm:
                     completed += 1
             if ncross + completed <= max_cross:
-                recu = union(a, b)
                 chosen_mask = new_mask
                 covered[a] += 1
                 covered[b] += 1
@@ -549,8 +526,7 @@ def groves(net, mode="all"):
                 covered[a] -= 1
                 covered[b] -= 1
                 chosen_mask = new_mask & ~(1 << i)
-                if recu:
-                    undo(recu)
+        dsu.undo()
 
         # exclude branch: interior coverage must stay possible
         remaining[a] -= 1

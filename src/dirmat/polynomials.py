@@ -41,10 +41,6 @@ class IntPoly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
-
-    @classmethod
     def falling_factorial(cls, m):
         """x(x-1)...(x-m+1); the empty product for m == 0."""
         p = cls.const(1)
@@ -57,9 +53,6 @@ class IntPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
 
     def __getitem__(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -159,18 +152,6 @@ class IntPoly:
             )
         return IntPoly(q)
 
-    def content_and_primitive(self):
-        from math import gcd
-
-        if not self.coeffs:
-            return 0, self
-        if any(isinstance(c, Fraction) for c in self.coeffs):
-            raise BadParameter("content is for integer polynomials")
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g, IntPoly([c // g for c in self.coeffs])
-
     def pretty(self, var="t"):
         if not self.coeffs:
             return "0"
@@ -266,54 +247,6 @@ class MultiAffinePoly:
 
     __rmul__ = __mul__
 
-    def times_variable(self, v):
-        """Multiply by a variable not occurring in any term."""
-        out = {}
-        for m, c in self.terms.items():
-            if v in m:
-                raise BadParameter(f"{v!r} already occurs; product not multiaffine")
-            out[m | {v}] = c
-        return MultiAffinePoly(set(self.variables) | {v}, out)
-
-    def partial(self, v):
-        if v not in self.variables:
-            raise MissingVariable(f"no variable {v!r}")
-        return MultiAffinePoly(
-            self.variables,
-            {m - {v}: c for m, c in self.terms.items() if v in m},
-        )
-
-    def eval(self, point):
-        for v in self.variables:
-            if v not in point:
-                raise MissingVariable(f"point misses variable {v!r}")
-        total = 0
-        for m, c in self.terms.items():
-            val = c
-            for v in m:
-                val *= point[v]
-                if val == 0:
-                    break
-            total += val
-        return total
-
-    def partial_eval(self, assignment):
-        """Fix some variables to numbers, keep the rest symbolic."""
-        keep = [v for v in self.variables if v not in assignment]
-        out = {}
-        for m, c in self.terms.items():
-            val = c
-            rest = []
-            for v in m:
-                if v in assignment:
-                    val *= assignment[v]
-                else:
-                    rest.append(v)
-            if val:
-                key = frozenset(rest)
-                out[key] = out.get(key, 0) + val
-        return MultiAffinePoly(keep, out)
-
     def restrict_line(self, base, direction):
         """Coefficients (constant first) of t -> p(base + t*direction)."""
         for v in self.variables:
@@ -334,27 +267,6 @@ class MultiAffinePoly:
             for i, pc in enumerate(prod):
                 out[i] += pc
         return out
-
-    def support_masks(self, var_order):
-        """Terms as (mask, coeff) pairs over an explicit variable order."""
-        idx = {v: i for i, v in enumerate(var_order)}
-        out = []
-        for m, c in self.terms.items():
-            mask = 0
-            for v in m:
-                mask |= 1 << idx[v]
-            out.append((mask, c))
-        out.sort()
-        return out
-
-    def lines(self):
-        """Deterministic text form, one 'coeff : {vars}' line per term."""
-        rows = []
-        for m in sorted(self.terms, key=lambda m: (len(m), sorted(m))):
-            c = self.terms[m]
-            inner = ", ".join(sorted(m))
-            rows.append(f"{c} : {{{inner}}}")
-        return rows
 
     def __repr__(self):
         return f"MultiAffinePoly({len(self.terms)} terms on {len(self.variables)} vars)"

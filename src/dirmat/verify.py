@@ -47,7 +47,13 @@ from .linrep import (
     representation_matrix,
 )
 from .matroid import beta_from_char_poly
-from .network import EH, add_boundary_clique, crossings, identify_boundary
+from .network import (
+    EH,
+    RollbackDSU,
+    add_boundary_clique,
+    crossing_masks,
+    identify_boundary,
+)
 from .polynomials import IntPoly
 
 
@@ -99,39 +105,6 @@ def circular_corpus():
 
 
 # -- oracle triangulation ----------------------------------------------------
-
-
-class _RollbackDSU:
-    """Union-find with undo; no path compression so undo stays exact."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.trail = []
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            self.trail.append(None)
-            return False
-        if self.size[ra] > self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[ra] = rb
-        self.size[rb] += self.size[ra]
-        self.trail.append((ra, rb))
-        return True
-
-    def undo(self):
-        op = self.trail.pop()
-        if op is not None:
-            ra, rb = op
-            self.parent[ra] = ra
-            self.size[rb] -= self.size[ra]
 
 
 def _integer_columns(net):
@@ -196,19 +169,18 @@ def triangulate(net, limit=17):
         (gvidx[net.edges[e][0]], gvidx[net.edges[e][1]]) for e in order
     ]
 
-    cross = [frozenset(c) for c in crossings(net)]
-    eidx = {e: i for i, e in enumerate(order)}
     cross_with = [[] for _ in order]
     remaining = []
-    for ci, c in enumerate(cross):
-        remaining.append(len(c))
-        for e in c:
-            cross_with[eidx[e]].append(ci)
+    for ci, cm in enumerate(crossing_masks(net)):
+        remaining.append(cm.bit_count())
+        for i in range(n):
+            if cm >> i & 1:
+                cross_with[i].append(ci)
 
     cols = _integer_columns(net)
 
-    g_dsu = _RollbackDSU(len(net.vertices))
-    o_dsu = _RollbackDSU(len(overts))
+    g_dsu = RollbackDSU(len(net.vertices))
+    o_dsu = RollbackDSU(len(overts))
     basis = []
     state = {"cycles": 0, "contained": 0, "merges": 0, "size": 0}
     mismatches = []
@@ -475,7 +447,7 @@ def connectivity_suite(nets=None):
             is3 = tc >= 3
             tutte_ok = is3 == crit["predicts_3_connected"]
 
-        beta_net = beta_from_char_poly(matroid.char_poly(), matroid.full_rank())
+        beta_net = matroid.beta()
         clique = add_boundary_clique(net)
         # chromatic polynomial of the connected clique graph = lambda * chi
         # of its cycle matroid, so strip one factor of lambda

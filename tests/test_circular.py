@@ -28,6 +28,7 @@ from dirmat.families import (
     wheatstone,
 )
 from dirmat.network import EH
+from dirmat.verify import circular_corpus
 
 
 def test_wheatstone_faces():
@@ -125,7 +126,11 @@ def test_insulators_wheatstone():
 def test_insulator_exhaustive_route_agrees():
     # the non-exhaustive route must coincide with the brute rim-connection
     # scan; ConsistencyError inside insulators() would signal a mismatch
-    for net in [wheatstone(), sunflower(3)]:
+    nets = [net for net in circular_corpus() if len(net.edges) <= 16]
+    assert [net.name for net in nets] == [
+        "wheatstone", "sunflower(3)", "sunflower(4)", "sunflower(5)",
+    ]
+    for net in nets:
         assert insulators(net, exhaustive=True)
 
 

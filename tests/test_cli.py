@@ -104,6 +104,16 @@ def test_network_from_json_file(capsys, tmp_path):
     assert out.strip() == "rank({e1, e2}) = 2"
 
 
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"])
+def test_bad_json_file_is_domain_error(capsys, tmp_path, content):
+    f = tmp_path / "bad.json"
+    f.write_bytes(content)
+    rc = cli.run(["validate", "--file", str(f)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert err.startswith("error: invalid JSON")
+
+
 def test_unknown_family_is_domain_error(capsys):
     rc = cli.run(["matroid", "--gen", "nosuch:3", "--list", "bases"])
     _, err = capsys.readouterr()

@@ -6,7 +6,6 @@ from dirmat.dirichlet import (
     connectivity_criteria,
     dirichlet_matroid,
     network_cocircuits,
-    vertical_biseparations,
 )
 from dirmat.errors import BadParameter, GraphTooLarge
 from dirmat.families import (
@@ -75,23 +74,6 @@ def test_criterion_matches_tutte_small():
             continue
         crit = connectivity_criteria(net)
         assert crit["predicts_3_connected"] == (M.tutte_connectivity() >= 3)
-
-
-def test_vertical_biseparations_contract():
-    # too few elements on the small path; none on the star either
-    assert vertical_biseparations(path(3), 2) == []
-    assert vertical_biseparations(star(3), 2) == []
-    # the glued double path has one, coming from its two tracts, and the
-    # side holding the extra element is never balanced
-    seps = vertical_biseparations(double_path(), 2)
-    assert seps
-    assert any(s["kind"] == "neither-balanced" for s in seps)
-    for s in seps:
-        assert s["kind"] != "both-balanced"
-        assert len(s["X"]) >= 2 and len(s["Y"]) >= 2
-        assert sorted(s["X"] + s["Y"]) == sorted(
-            list(double_path().edge_order) + ["eh"]
-        )
 
 
 def test_cocircuits_are_minimal():

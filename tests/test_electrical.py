@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dirmat.electrical import (
-    delta_eval,
+    TermEvaluator,
     grove_identities,
-    harmonic_extension,
     hpp_sample,
     hpp_scan_poly,
     identity_sweep,
@@ -18,8 +17,7 @@ from dirmat.electrical import (
 )
 from dirmat.errors import SingularInterior
 from dirmat.families import hexwheel, path, star, triangle
-from dirmat.grovepoly import basis_gen_poly, grove_polys
-from dirmat.network import EH
+from dirmat.network import EH, groves
 from dirmat.polynomials import MultiAffinePoly
 
 
@@ -52,13 +50,6 @@ def test_singular_interior_raises():
         response(net, {"e1": 1, "e2": -1})
 
 
-def test_harmonic_extension_path3():
-    net = path(3)
-    pots = harmonic_extension(net, {"e1": 2, "e2": 1}, {"v1": 3, "v3": 0})
-    # potential at the middle vertex is the conductance-weighted average
-    assert pots["v2"] == Fraction(2 * 3 + 1 * 0, 3)
-
-
 def test_identity_sweep_small():
     for net in [path(3), star(3), triangle()]:
         rep = identity_sweep(net, trials=40, seed=1)
@@ -73,23 +64,34 @@ def test_grove_identities_at_a_point():
 
 
 def test_delta_eval_pinned_path3():
+    # the basis polynomial of the two-edge path is x1 x2 + x_eh (x1 + x2);
+    # its Rayleigh difference at (eh, e1) is x2^2
     net = path(3)
-    pb = basis_gen_poly(net)
+    order = net.edge_order + (EH,)
+    family = list(groves(net, "one-crossing"))
+    family += [fs | {EH} for fs in groves(net, "no-crossing")]
+    ev = TermEvaluator(family, order)
     rng = random.Random(4)
     for _ in range(25):
-        x = {v: rng.randint(-9, 9) for v in pb.variables}
-        out = delta_eval(pb, pb, EH, "e1", x)
-        assert out["delta"] == x["e2"] ** 2
+        x = [rng.randint(-9, 9) for _ in order]
+        value, first, second = ev.full(x)
+        delta = first[0] * first[2] - value * second.get((0, 2), 0)
+        assert delta == x[1] ** 2
 
 
 def test_wronskian_orientation_path3():
+    # W_e(P0, P1) = P0 d_e P1 - d_e P0 P1 is x2^2 at e1 and x1^2 at e2, the
+    # orientation proper_position_checks tests for nonnegativity
     net = path(3)
-    gp = grove_polys(net)
+    ev0 = TermEvaluator(groves(net, "no-crossing"), net.edge_order)
+    ev1 = TermEvaluator(groves(net, "one-crossing"), net.edge_order)
     rng = random.Random(6)
     for _ in range(25):
-        x = {"e1": rng.randint(-9, 9), "e2": rng.randint(-9, 9)}
-        out = delta_eval(gp["P0"], gp["P1"], "e1", "e1", x)
-        assert out["wronskian"] == x["e2"] ** 2
+        x = [rng.randint(-9, 9), rng.randint(-9, 9)]
+        v0, f0, _ = ev0.full(x)
+        v1, f1, _ = ev1.full(x)
+        assert v0 * f1[0] - f0[0] * v1 == x[1] ** 2
+        assert v0 * f1[1] - f0[1] * v1 == x[0] ** 2
 
 
 def test_hpp_sample_nonnegative():

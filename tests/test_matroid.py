@@ -7,8 +7,8 @@ from dirmat.dirichlet import dirichlet_matroid, network_cocircuits
 from dirmat.errors import GroundTooLarge
 from dirmat.families import path, star, triangle, wheatstone
 from dirmat.matroid import Matroid, beta_from_char_poly
-from dirmat.network import EH, MultiGraph, add_boundary_clique
-from dirmat.verify import circular_corpus, corpus
+from dirmat.network import EH, MultiGraph, add_boundary_clique, identify_boundary
+from dirmat.verify import circular_corpus, corpus, triangulate
 
 from bruteforce import brute_independent, brute_rank
 
@@ -42,13 +42,26 @@ def test_rank_matches_brute_force():
 
 
 def test_grove_and_lift_engines_agree():
+    # the grove definition against the lift rank on every subset, by
+    # triangulate; wheatstone is not in the verification corpus
     for net in [path(3), star(4), triangle(), wheatstone()]:
-        lift = dirichlet_matroid(net, engine="lift")
-        grove = dirichlet_matroid(net, engine="groves")
-        ground = list(lift.ground)
-        for r in range(len(ground) + 1):
-            for sub in combinations(ground, r):
-                assert lift.rank(sub) == grove.rank(sub)
+        rep = triangulate(net)
+        assert rep["all_ok"], rep["mismatches"]
+        assert rep["subsets"] == 1 << (len(net.edges) + 1)
+
+
+def test_graphic_rank_counts_components():
+    rng = random.Random(5)
+    for net in corpus():
+        for mg in (identify_boundary(net)[0], add_boundary_clique(net)):
+            M = Matroid.graphic(mg)
+            for _ in range(40):
+                sub = [e for e in M.ground if rng.random() < 0.5]
+                part = MultiGraph(
+                    mg.vertices, [(e,) + mg.edges[e] for e in sub]
+                )
+                want = len(mg.vertices) - len(part.components())
+                assert M.rank(sub) == want, (net.name, sub)
 
 
 def test_star3_is_the_four_point_line():

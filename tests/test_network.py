@@ -10,6 +10,7 @@ from dirmat.network import (
     Network,
     add_boundary_clique,
     crossings,
+    groves,
     identify_boundary,
 )
 
@@ -97,3 +98,13 @@ def test_crossings_seeded_random_nets():
         except BadParameter:
             continue
         assert set(crossings(net)) == brute_crossings(net)
+
+
+def test_grove_counts_pinned_by_mode():
+    for net, counts in [
+        (sunflower(5), (722, 2280, 9482)),
+        (hexwheel(6), (320, 528, 1513)),
+    ]:
+        modes = ("no-crossing", "one-crossing", "all")
+        assert tuple(len(groves(net, mode)) for mode in modes) == counts
+
