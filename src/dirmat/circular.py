@@ -24,7 +24,7 @@ from .errors import (
     NotACocircuit,
     NotPlanar,
 )
-from .matroid import Matroid, graphic_rank
+from .matroid import Matroid, union_find
 from .network import EH, MultiGraph, Network
 
 INSULATOR_LIMIT = 20
@@ -474,17 +474,13 @@ def _rim_test(dual, order):
     """A test on bitmasks over `order`: do the set's dual edges put every
     rim region in one piece?
 
-    The bits past the edges carry a path through the rim regions. The edges
-    join them all exactly when adding that path leaves the graphic rank
-    unchanged; they then touch every rim region as well, since there are at
-    least two.
+    They do exactly when the rim regions all end up under one root of the
+    union-find over the set's edges.
     """
     vidx = {v: i for i, v in enumerate(dual.vertices)}
     ends = [(vidx[dual.edges[e][0]], vidx[dual.edges[e][1]]) for e in order]
-    rim = [vidx[b] for b in dual.boundary]
-    rank = graphic_rank(len(vidx), ends + list(zip(rim, rim[1:])))
-    path = ((1 << (len(rim) - 1)) - 1) << len(order)
-    return lambda mask: rank(mask | path) == rank(mask)
+    run = union_find(len(vidx), ends, [vidx[b] for b in dual.boundary])
+    return lambda mask: run(mask)[1] == 1
 
 
 def insulators(cnet, exhaustive=None):

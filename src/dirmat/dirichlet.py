@@ -6,17 +6,26 @@ graph (a crossing). The network matroid is the lift of this biased graph by
 one extra element (Zaslavsky, "Biased graphs II: the three matroids", JCTB
 51, 1991): the rank of a set is the graphic rank of its edges in the
 identified graph, plus one when it holds the extra element or a crossing.
+
+No crossing is listed to answer a rank query. One union-find pass over
+the set's edges in the original graph keeps the m boundary nodes apart; let
+c_B be the number of distinct roots among them. The set holds a crossing
+exactly when c_B < m (two boundary nodes share a component, and the path
+between them starts with a crossing), its graphic rank in the identified
+graph is merges - m + c_B, and so its rank is that plus one when it holds
+the extra element or c_B < m. A query is one pass over the set's edges
+plus one find per boundary node.
+
 The lift description also gives the cocircuits directly
 (`network_cocircuits`), and the module holds the graph-side connectivity
 criteria.
 """
 
 from .errors import GraphTooLarge
-from .matroid import Matroid, graphic_rank
+from .matroid import Matroid, union_find
 from .network import (
     EH,
     add_boundary_clique,
-    crossing_masks,
     identify_boundary,
     interior_is_connected,
 )
@@ -26,21 +35,24 @@ from .network import (
 
 
 def _lift_engine(net):
-    og, _hub = identify_boundary(net)
+    """The lift rank on bitmasks over the edge order, bit n being `eh`, by
+    the c_B rule of the module docstring."""
+    bd = net.boundary
+    m = len(bd)
+    vidx = {v: i for i, v in enumerate(list(bd) + list(net.interior))}
     order = net.edge_order
-    vidx = {v: i for i, v in enumerate(og.vertices)}
-    graphic = graphic_rank(
-        len(og.vertices),
-        [(vidx[og.edges[e][0]], vidx[og.edges[e][1]]) for e in order],
+    forest = union_find(
+        len(vidx),
+        [(vidx[net.edges[e][0]], vidx[net.edges[e][1]]) for e in order],
+        range(m),
     )
     eh_bit = 1 << len(order)
-    cross_masks = crossing_masks(net)
 
     def rank(mask):
-        em = mask & (eh_bit - 1)
-        if mask & eh_bit or any(cm & em == cm for cm in cross_masks):
-            return graphic(em) + 1
-        return graphic(em)
+        merges, c_b = forest(mask & (eh_bit - 1))
+        if mask & eh_bit or c_b < m:
+            return merges - m + c_b + 1
+        return merges
 
     return rank
 

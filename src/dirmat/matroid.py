@@ -323,15 +323,17 @@ class Matroid:
         return None
 
 
-def graphic_rank(nv, ends):
-    """Rank function of a cycle matroid on bitmasks.
+def union_find(nv, ends, terminals=()):
+    """One union-find pass over the edges of a bitmask.
 
     Bit i of a mask is the edge joining the vertex indices ends[i] (of nv
-    vertices); the rank is the number of merges a union-find with path
-    halving makes over the set edges.
+    vertices). The returned function gives, for a mask, the number of
+    merges a union-find with path halving makes over the set edges (the
+    graphic rank of the set) and the number of distinct roots among the
+    vertex indices `terminals` (how many components they fall into).
     """
 
-    def rank(mask):
+    def run(mask):
         parent = list(range(nv))
         merges = 0
         while mask:
@@ -347,9 +349,20 @@ def graphic_rank(nv, ends):
                 parent[a] = c
                 merges += 1
             mask ^= b
-        return merges
+        roots = set()
+        for t in terminals:
+            while parent[t] != t:
+                t = parent[t]
+            roots.add(t)
+        return merges, len(roots)
 
-    return rank
+    return run
+
+
+def graphic_rank(nv, ends):
+    """Rank function of a cycle matroid on bitmasks (see `union_find`)."""
+    run = union_find(nv, ends)
+    return lambda mask: run(mask)[0]
 
 
 def beta_from_char_poly(chi, rank):

@@ -146,12 +146,13 @@ def triangulate(net, limit=17):
     """Independence by three routes on every subset of the ground set.
 
     Route one evaluates the grove definition directly (forest plus a
-    crossing budget). Route two is the lift rank formula over the
-    boundary-identified graph. Route three is column rank of the rational
-    representation under a block-injective boundary assignment. All three
-    must agree on independence, and the two rank functions must agree
-    everywhere. One shared depth-first walk maintains all three
-    incrementally with rollback.
+    crossing budget), the one route that reads the crossing list. Route two
+    is the lift rank formula over the boundary-identified graph, where a set
+    is unbalanced when its graphic rank drops under the identification.
+    Route three is column rank of the rational representation under a
+    block-injective boundary assignment. All three must agree on
+    independence, and the two rank functions must agree everywhere. One
+    shared depth-first walk maintains all three incrementally with rollback.
     """
     order = list(net.edge_order)
     n = len(order)
@@ -205,7 +206,9 @@ def triangulate(net, limit=17):
     members = []
 
     def leaves():
-        unbalanced = state["contained"] > 0
+        # a crossing joins two boundary nodes, so identifying them loses a
+        # merge: the lift route never looks at the crossing list
+        unbalanced = state["merges"] < state["size"] - state["cycles"]
         size = state["size"]
         lift = state["merges"] + (1 if unbalanced else 0)
         grove = state["cycles"] == 0 and state["contained"] <= 1

@@ -1,17 +1,19 @@
 """Small definition-level oracles used to cross-check the package.
 
 Everything here is written from the definitions, independent of the package
-internals, and only meant for tiny inputs. The one exception is
-`recursion_cocircuits`, the earlier route to the cocircuits, which reuses the
-package's lift rank and crossing list and is kept as the reference for the
-labelling search that replaced it.
+internals, and only meant for tiny inputs. The exceptions are two earlier
+routes kept as references for what replaced them: `recursion_cocircuits`
+(for the labelling search), which reuses the package's lift rank and crossing
+list, and `crossing_list_rank` (for the union-find lift rank), the graphic rank
+of the identified graph plus a scan of the crossing list.
 """
 
 from itertools import combinations
 
 from dirmat.dirichlet import _check_cocircuit, _lift_engine
 from dirmat.errors import GraphTooLarge
-from dirmat.network import EH, crossings, identify_boundary
+from dirmat.matroid import graphic_rank
+from dirmat.network import EH, crossing_masks, identify_boundary
 
 
 def brute_crossings(net):
@@ -76,6 +78,29 @@ def brute_rank(net, subset):
             if brute_independent(net, c):
                 return r
     return best
+
+
+def crossing_list_rank(net):
+    """The lift rank on bitmasks (bit n is `eh`) from the crossing list: the
+    graphic rank of the identified graph, plus one when the set holds `eh`
+    or contains a crossing."""
+    og, _hub = identify_boundary(net)
+    order = net.edge_order
+    vidx = {v: i for i, v in enumerate(og.vertices)}
+    graphic = graphic_rank(
+        len(og.vertices),
+        [(vidx[og.edges[e][0]], vidx[og.edges[e][1]]) for e in order],
+    )
+    eh_bit = 1 << len(order)
+    cross_masks = crossing_masks(net)
+
+    def rank(mask):
+        em = mask & (eh_bit - 1)
+        if mask & eh_bit or any(cm & em == cm for cm in cross_masks):
+            return graphic(em) + 1
+        return graphic(em)
+
+    return rank
 
 
 def brute_color_count(mg, k):
@@ -158,12 +183,7 @@ def recursion_cocircuits(net, node_limit=4_000_000):
             out.append(zmask)
 
     # maximal balanced spanning-connected sets
-    cross_masks = []
-    for c in crossings(net):
-        m = 0
-        for e in c:
-            m |= 1 << eidx[e]
-        cross_masks.append(m)
+    cross_masks = crossing_masks(net)
     full_e = (1 << n) - 1
 
     seen_sets = set()

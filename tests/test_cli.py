@@ -40,6 +40,9 @@ def test_verify_duality_on_sunflower(capsys):
 def test_rank_query(capsys):
     out = run_ok(capsys, ["matroid", "--gen", "path:3", "--rank", "e1,eh"])
     assert out.strip() == "rank({e1, eh}) = 2"
+    # 67 edges: the answer needs no list of the network's crossings
+    out = run_ok(capsys, ["matroid", "--gen", "random:21,4,0.3,1", "--rank", "eh"])
+    assert out.strip() == "rank({eh}) = 1"
 
 
 def test_validate_reports_embedding(capsys):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from dirmat.circular import dual_network
 from dirmat.dirichlet import (
+    _lift_engine,
     connectivity_criteria,
     dirichlet_matroid,
     network_cocircuits,
@@ -12,6 +14,7 @@ from dirmat.families import (
     double_path,
     double_sunflower,
     hexwheel,
+    parse_generator,
     path,
     random_network,
     star,
@@ -21,7 +24,7 @@ from dirmat.families import (
 from dirmat.network import EH
 from dirmat.verify import circular_corpus, corpus
 
-from bruteforce import brute_independent, recursion_cocircuits
+from bruteforce import brute_independent, crossing_list_rank, recursion_cocircuits
 
 
 def test_independence_definition_random_nets():
@@ -74,6 +77,38 @@ def test_criterion_matches_tutte_small():
             continue
         crit = connectivity_criteria(net)
         assert crit["predicts_3_connected"] == (M.tutte_connectivity() >= 3)
+
+
+def test_lift_rank_matches_crossing_list_exhaustively():
+    """The union-find lift rank equals the crossing-list rank on every
+    subset of every small corpus, circular-corpus and dual network."""
+    nets = corpus() + circular_corpus()
+    nets += [dual_network(net) for net in circular_corpus()]
+    nets = [net for net in nets if len(net.edges) + 1 <= 14]
+    assert len(nets) >= 40
+    for net in nets:
+        new, old = _lift_engine(net), crossing_list_rank(net)
+        for mask in range(1 << (len(net.edges) + 1)):
+            assert new(mask) == old(mask), (net.name, mask)
+
+
+def test_lift_rank_matches_crossing_list_on_random_masks():
+    rng = random.Random(2024)
+    for net in [double_sunflower(8)] + _seeded_random_networks(24):
+        new, old = _lift_engine(net), crossing_list_rank(net)
+        for _ in range(2000):
+            mask = rng.getrandbits(len(net.edges) + 1)
+            assert new(mask) == old(mask), (net.name, mask)
+
+
+def test_rank_query_lists_no_crossings():
+    # 67 edges: a list of this network's crossings takes tens of seconds
+    # and gigabytes to build, so the oracle must answer without one
+    net = parse_generator("random:21,4,0.3,1")
+    M = dirichlet_matroid(net)
+    assert M.rank([EH]) == 1
+    assert M.rank(net.edge_order) == M.full_rank() == len(net.interior) + 1
+    assert "crossings" not in net._cache
 
 
 def test_cocircuits_are_minimal():
