@@ -556,22 +556,6 @@ def _is_cocircuit(matroid, labels):
     )
 
 
-def _is_circuit(matroid, labels):
-    cmask = matroid.mask_of(labels)
-    size = cmask.bit_count()
-    if size == 0:
-        return False
-    if matroid.rank_mask(cmask) != size - 1:
-        return False
-    t = cmask
-    while t:
-        bit = t & -t
-        if matroid.rank_mask(cmask ^ bit) != size - 1:
-            return False
-        t ^= bit
-    return True
-
-
 def _derived(cn, key):
     """The network's matroid, its dual network or the dual's matroid (one
     key of _DUALITY_KEYS), built once per drawing and kept in the cache."""
@@ -676,7 +660,7 @@ def duality_theorem_check(cnet):
     ok = True
     for z in network_cocircuits(cn):
         if EH not in z:
-            good = _is_circuit(graph_dual, z)
+            good = graph_dual.is_circuit_mask(graph_dual.mask_of(z))
             rows.append(
                 {
                     "cocircuit": tuple(sorted(z)),

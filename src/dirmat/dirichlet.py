@@ -232,21 +232,20 @@ def network_cocircuits(net, node_limit=4_000_000):
 # -- connectivity -----------------------------------------------------------
 
 
-def _is_k_connected_graph(mg, k):
-    """No vertex cut smaller than k (complete graphs count as connected
-    at every order)."""
+def _vertex_connectivity(mg, cap):
+    """The size of a smallest vertex cut, or `cap` when every cut has at
+    least `cap` vertices (complete graphs have none)."""
     verts = list(mg.vertices)
     nv = len(verts)
     pair_adj = {v: set(w for _, w in mg.adj[v] if w != v) for v in verts}
-    complete = all(len(pair_adj[v]) == nv - 1 for v in verts)
-    if complete:
-        return True
+    if all(len(pair_adj[v]) == nv - 1 for v in verts):
+        return cap
     if not mg.is_connected():
-        return False
+        return 0
 
     from itertools import combinations
 
-    for size in range(1, k):
+    for size in range(1, cap):
         for cut in combinations(verts, size):
             rest = [v for v in verts if v not in cut]
             if len(rest) <= 1:
@@ -261,25 +260,25 @@ def _is_k_connected_graph(mg, k):
                         seen.add(y)
                         stack.append(y)
             if len(seen) != len(rest):
-                return False
-    return True
+                return size
+    return cap
 
 
 def connectivity_criteria(net):
     """Graph-side connectivity data for the two matroid connectivity
     equivalences."""
     nabla = add_boundary_clique(net)
-    verts = nabla.vertices
-    nv = len(verts)
-    pair_adj = {v: set(w for _, w in nabla.adj[v] if w != v) for v in verts}
-    complete = all(len(pair_adj[v]) == nv - 1 for v in verts)
+    nv = len(nabla.vertices)
+    kappa = _vertex_connectivity(nabla, 3)
+    interior = interior_is_connected(net)
     return {
-        "interior_connected": interior_is_connected(net),
-        "nabla_complete": complete,
-        "nabla_2_connected": _is_k_connected_graph(nabla, 2),
-        "nabla_3_connected": _is_k_connected_graph(nabla, 3),
-        "predicts_2_connected": _is_k_connected_graph(nabla, 2),
-        "predicts_3_connected": interior_is_connected(net)
-        and (_is_k_connected_graph(nabla, 3) or complete),
+        "interior_connected": interior,
+        # nabla is simple: the network is, and it has no boundary-boundary edge
+        "nabla_complete": len(nabla.edges) == nv * (nv - 1) // 2,
+        "nabla_2_connected": kappa >= 2,
+        "nabla_3_connected": kappa >= 3,
+        "predicts_2_connected": kappa >= 2,
+        # a complete nabla counts as 3-connected
+        "predicts_3_connected": interior and kappa >= 3,
         "single_interior_node": len(net.interior) == 1,
     }

@@ -33,8 +33,7 @@ def grove_polys(net):
     p1 = MultiAffinePoly.from_set_family(ones, variables)
     buckets = {}
     for fs in ones:
-        _, pair = grove_crossing(net, fs)
-        buckets.setdefault(pair, []).append(fs)
+        buckets.setdefault(grove_crossing(net, fs), []).append(fs)
     pairs = {
         pair: MultiAffinePoly.from_set_family(fam, variables)
         for pair, fam in sorted(buckets.items())

@@ -177,12 +177,8 @@ def block_injective_u(net, field=None):
     the field's elements; FieldTooSmall when impossible.
     """
     F = field or FieldQ()
-    pairs = crossing_pair_graph(net)
+    adj = crossing_pair_graph(net)
     nodes = list(net.boundary)
-    adj = {b: set() for b in nodes}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
     palette = []
     stream = F.element_stream()
     cap = F.size if F.size is not None else len(nodes)
@@ -241,12 +237,8 @@ def max_block_boundary(net):
 
 def chromatic_number_of_pairs(net):
     """Exact chromatic number of the crossing-pair graph on boundary nodes."""
-    pairs = crossing_pair_graph(net)
+    adj = crossing_pair_graph(net)
     nodes = list(net.boundary)
-    adj = {b: set() for b in nodes}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
 
     def colorable(k):
         col = {}

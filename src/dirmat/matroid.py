@@ -93,28 +93,31 @@ class Matroid:
             raise GroundTooLarge(
                 f"circuit scan over {scope.bit_count()} elements (limit {limit})"
             )
-        rk = self._rank_mask
+        is_circuit = self.is_circuit_mask
         out = []
         sub = scope
         while True:
-            pc = sub.bit_count()
-            if pc:
-                r = rk(sub)
-                if r == pc - 1:
-                    m = sub
-                    minimal = True
-                    while m:
-                        b = m & -m
-                        if rk(sub ^ b) != r:
-                            minimal = False
-                            break
-                        m ^= b
-                    if minimal:
-                        out.append(self.labels_of(sub))
+            if is_circuit(sub):
+                out.append(self.labels_of(sub))
             if sub == 0:
                 break
             sub = (sub - 1) & scope
         return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
+
+    def is_circuit_mask(self, mask):
+        """Whether a mask is a circuit: of rank one less than its size, and
+        of the same rank after dropping any one element."""
+        size = mask.bit_count()
+        rk = self._rank_mask
+        if size == 0 or rk(mask) != size - 1:
+            return False
+        m = mask
+        while m:
+            b = m & -m
+            if rk(mask ^ b) != size - 1:
+                return False
+            m ^= b
+        return True
 
     def cocircuits(self, limit=16):
         return self.dual().circuits(limit=limit)

@@ -3,9 +3,15 @@
 A network is a finite connected simple graph together with a distinguished set
 of at least two boundary nodes which spans no edge. Everything downstream
 (matroids, polynomials, response matrices, duals) is built on top of this
-module: validation, boundary-to-boundary paths, interior blocks, groves, and
-the two derived graphs (boundary nodes identified to a single node, and the
-boundary turned into a clique).
+module: validation, boundary-to-boundary paths (crossings), interior blocks,
+groves, and the two derived graphs (boundary nodes identified to a single
+node, and the boundary turned into a clique).
+
+The crossing list is the definition and can be exponential in the size of
+the network. Only `verify.triangulate`'s grove route and the girth of
+`grovepoly.cpintro_compare` read it. The groves are read off the network
+matroid's bases, which its union-find rank oracle finds without the list, and
+the boundary pairs joined by a crossing are read off the blocks.
 """
 
 import json
@@ -293,14 +299,15 @@ def crossings(net):
     """All boundary-to-boundary paths with interior middles.
 
     Each is returned as a frozenset of edge labels (a path's edge set
-    determines it). Sorted deterministically.
+    determines it). Sorted deterministically. The list can be exponential in
+    the size of the network; the rank oracle, the groves and the crossing
+    pairs do without it.
     """
     key = "crossings"
     if key in net._cache:
         return net._cache[key]
-    found = {}
-    bd = net.boundary
-    for b in bd:
+    found = set()
+    for b in net.boundary:
         # DFS over simple paths leaving b through interior vertices only
         stack = [(b, [], set())]
         while stack:
@@ -310,19 +317,13 @@ def crossings(net):
                     continue
                 if net.is_boundary(y):
                     if y != b and path_edges:
-                        fs = frozenset(path_edges + [e])
-                        if fs not in found:
-                            found[fs] = (min(b, y), max(b, y))
-                    elif y != b and not path_edges:
-                        # a direct boundary-boundary edge cannot exist
-                        continue
+                        found.add(frozenset(path_edges + [e]))
                     continue
                 if y in used:
                     continue
                 stack.append((y, path_edges + [e], used | {y}))
     out = tuple(sorted(found, key=lambda fs: sorted(fs)))
     net._cache[key] = out
-    net._cache["crossing_ends"] = {fs: found[fs] for fs in out}
     return out
 
 
@@ -338,19 +339,7 @@ def crossing_masks(net):
     return out
 
 
-def crossing_endpoints(net):
-    """Map each crossing to its (sorted) pair of boundary endpoints."""
-    crossings(net)
-    return dict(net._cache["crossing_ends"])
-
-
-def crossing_pair_graph(net):
-    """The graph on boundary nodes with an edge for each crossing pair."""
-    pairs = sorted(set(crossing_endpoints(net).values()))
-    return pairs
-
-
-# -- blocks and tracts ------------------------------------------------------
+# -- blocks ---------------------------------------------------------------
 
 
 def _interior_components(net):
@@ -401,6 +390,19 @@ def blocks(net):
     return tuple(p[0] for p in block_decomposition(net))
 
 
+def crossing_pair_graph(net):
+    """The graph on boundary nodes joining each pair that a crossing runs
+    between, as an adjacency dict. A crossing's interior middle lies in one
+    interior component, so two boundary nodes are joined exactly when they
+    share a block."""
+    adj = {b: set() for b in net.boundary}
+    for blk in blocks(net):
+        bd = {v for v in blk if net.is_boundary(v)}
+        for b in bd:
+            adj[b] |= bd - {b}
+    return adj
+
+
 def block_boundary_counts(net):
     """For each block, how many boundary nodes it contains."""
     return tuple(
@@ -449,108 +451,49 @@ class RollbackDSU:
             self.size[rb] -= self.size[ra]
 
 
-_GROVE_MODES = ("no-crossing", "one-crossing", "all")
+_GROVE_MODES = ("no-crossing", "one-crossing")
 
 
-def groves(net, mode="all"):
-    """Enumerate groves: forests covering the interior, every tree touching
-    the boundary.
+def groves(net, mode):
+    """Groves: forests covering the interior, every tree touching the
+    boundary, with no crossing ('no-crossing') or exactly one
+    ('one-crossing'). Returns a sorted tuple of frozensets of edge labels.
 
-    mode: 'no-crossing' (no completed crossing), 'one-crossing' (exactly
-    one), or 'all'. Returns a sorted tuple of frozensets of edge labels.
+    These are the bases of the network matroid: the bases without `eh` are
+    the one-crossing groves, and the bases with `eh` are the no-crossing
+    groves plus `eh`. Both modes come from one basis enumeration, cached on
+    the network.
     """
     if mode not in _GROVE_MODES:
         raise BadParameter(f"grove mode must be one of {_GROVE_MODES}")
     key = ("groves", mode)
-    if key in net._cache:
-        return net._cache[key]
+    if key not in net._cache:
+        from .dirichlet import dirichlet_matroid
 
-    order = net.edge_order
-    n = len(order)
-    vidx = {v: i for i, v in enumerate(net.vertices)}
-    nv = len(net.vertices)
-    ends = [(vidx[net.edges[e][0]], vidx[net.edges[e][1]]) for e in order]
-    is_bd = [net.is_boundary(v) for v in net.vertices]
-    bd_idx = [vidx[b] for b in net.boundary]
-
-    per_edge_cross = [[] for _ in range(n)]
-    for cm in crossing_masks(net):
-        for i in range(n):
-            if cm >> i & 1:
-                per_edge_cross[i].append(cm)
-
-    max_cross = {"no-crossing": 0, "one-crossing": 1, "all": n + 1}[mode]
-
-    dsu = RollbackDSU(nv)
-    find = dsu.find
-
-    # remaining undecided-or-included incident edge count per vertex
-    remaining = [0] * nv
-    for a, b in ends:
-        remaining[a] += 1
-        remaining[b] += 1
-    covered = [0] * nv
-
-    out = []
-    chosen_mask = 0
-
-    def emit():
-        # every included-edge component must reach the boundary
-        reach = {find(b) for b in bd_idx}
-        for i in range(n):
-            if chosen_mask >> i & 1 and find(ends[i][0]) not in reach:
-                return
-        fs = frozenset(order[i] for i in range(n) if chosen_mask >> i & 1)
-        out.append(fs)
-
-    def rec(i, ncross):
-        nonlocal chosen_mask
-        if i == n:
-            if mode != "one-crossing" or ncross == 1:
-                emit()
-            return
-        a, b = ends[i]
-
-        # include branch
-        if dsu.union(a, b):
-            completed = 0
-            new_mask = chosen_mask | (1 << i)
-            for cm in per_edge_cross[i]:
-                if cm & new_mask == cm:
-                    completed += 1
-            if ncross + completed <= max_cross:
-                chosen_mask = new_mask
-                covered[a] += 1
-                covered[b] += 1
-                rec(i + 1, ncross + completed)
-                covered[a] -= 1
-                covered[b] -= 1
-                chosen_mask = new_mask & ~(1 << i)
-        dsu.undo()
-
-        # exclude branch: interior coverage must stay possible
-        remaining[a] -= 1
-        remaining[b] -= 1
-        ok = True
-        if not is_bd[a] and covered[a] == 0 and remaining[a] == 0:
-            ok = False
-        if ok and not is_bd[b] and covered[b] == 0 and remaining[b] == 0:
-            ok = False
-        if ok:
-            rec(i + 1, ncross)
-        remaining[a] += 1
-        remaining[b] += 1
-
-    rec(0, 0)
-    result = tuple(sorted(out, key=lambda fs: sorted(fs)))
-    net._cache[key] = result
-    return result
+        matroid = dirichlet_matroid(net)
+        bases = matroid.bases(limit=len(matroid.ground))
+        net._cache["groves", "one-crossing"] = tuple(
+            fs for fs in bases if EH not in fs
+        )
+        net._cache["groves", "no-crossing"] = tuple(
+            sorted((fs - {EH} for fs in bases if EH in fs), key=sorted)
+        )
+    return net._cache[key]
 
 
 def grove_crossing(net, fs):
-    """The unique crossing inside a one-crossing grove, and its endpoints."""
-    ends = crossing_endpoints(net)
-    hit = [c for c in ends if c <= fs]
-    if len(hit) != 1:
+    """The pair of boundary nodes that share a tree of a one-crossing grove:
+    the endpoints of its crossing."""
+    vidx = {v: i for i, v in enumerate(net.vertices)}
+    dsu = RollbackDSU(len(vidx))
+    for e in fs:
+        u, v = net.edges[e]
+        if not dsu.union(vidx[u], vidx[v]):
+            raise BadParameter("not a one-crossing grove")
+    trees = {}
+    for b in net.boundary:
+        trees.setdefault(dsu.find(vidx[b]), []).append(b)
+    shared = [tuple(t) for t in trees.values() if len(t) > 1]
+    if len(shared) != 1 or len(shared[0]) != 2:
         raise BadParameter("not a one-crossing grove")
-    return hit[0], ends[hit[0]]
+    return shared[0]

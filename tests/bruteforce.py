@@ -11,7 +11,8 @@ of the identified graph plus a scan of the crossing list.
 from itertools import combinations
 
 from dirmat.dirichlet import _check_cocircuit, _lift_engine
-from dirmat.errors import GraphTooLarge
+from dirmat.errors import BadParameter, GraphTooLarge
+from dirmat.families import random_network
 from dirmat.matroid import graphic_rank
 from dirmat.network import EH, crossing_masks, identify_boundary
 
@@ -42,7 +43,8 @@ def brute_crossings(net):
     return found
 
 
-def _acyclic(net, labels):
+def _trees(net, labels):
+    """Vertex sets of the trees of an edge set, or None if it holds a cycle."""
     parent = {v: v for v in net.vertices}
 
     def find(x):
@@ -51,19 +53,56 @@ def _acyclic(net, labels):
         return x
 
     for e in labels:
-        u, v = net.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = (find(v) for v in net.edges[e])
         if ru == rv:
-            return False
+            return None
         parent[ru] = rv
-    return True
+    trees = {}
+    for v in {v for e in labels for v in net.edges[e]}:
+        trees.setdefault(find(v), set()).add(v)
+    return list(trees.values())
+
+
+def brute_groves(net):
+    """Groves straight from the definition, by number of crossings: every
+    forest that covers the interior and in which every tree holds a
+    boundary node, found by scanning the edge subsets of at most |V| - 1
+    elements (no larger one is a forest). Maps each crossing count to a
+    sorted tuple of frozensets of edge labels."""
+    crosses = brute_crossings(net)
+    bd = set(net.boundary)
+    interior = set(net.vertices) - bd
+    found = {}
+    for size in range(len(net.vertices)):
+        for sub in combinations(sorted(net.edges), size):
+            trees = _trees(net, sub)
+            if trees is None or not interior <= set().union(*trees):
+                continue
+            if all(tree & bd for tree in trees):
+                fs = frozenset(sub)
+                k = sum(1 for c in crosses if c <= fs)
+                found.setdefault(k, []).append(fs)
+    return {k: tuple(sorted(fam, key=sorted)) for k, fam in found.items()}
+
+
+def seeded_random_networks(count):
+    """The first `count` valid `random_network(7, 3, 0.5, seed)`, seeds 0, 1, ..."""
+    nets = []
+    seed = 0
+    while len(nets) < count:
+        try:
+            nets.append(random_network(7, 3, 0.5, seed))
+        except BadParameter:
+            pass
+        seed += 1
+    return nets
 
 
 def brute_independent(net, subset):
     """Independence straight from the grove definition."""
     subset = set(subset)
     edge_part = subset - {EH}
-    if not _acyclic(net, edge_part):
+    if _trees(net, edge_part) is None:
         return False
     inside = sum(1 for c in brute_crossings(net) if c <= edge_part)
     budget = 0 if EH in subset else 1

@@ -9,7 +9,7 @@ from dirmat.dirichlet import (
     dirichlet_matroid,
     network_cocircuits,
 )
-from dirmat.errors import BadParameter, GraphTooLarge
+from dirmat.errors import GraphTooLarge
 from dirmat.families import (
     double_path,
     double_sunflower,
@@ -24,7 +24,12 @@ from dirmat.families import (
 from dirmat.network import EH
 from dirmat.verify import circular_corpus, corpus
 
-from bruteforce import brute_independent, crossing_list_rank, recursion_cocircuits
+from bruteforce import (
+    brute_independent,
+    crossing_list_rank,
+    recursion_cocircuits,
+    seeded_random_networks,
+)
 
 
 def test_independence_definition_random_nets():
@@ -94,7 +99,7 @@ def test_lift_rank_matches_crossing_list_exhaustively():
 
 def test_lift_rank_matches_crossing_list_on_random_masks():
     rng = random.Random(2024)
-    for net in [double_sunflower(8)] + _seeded_random_networks(24):
+    for net in [double_sunflower(8)] + seeded_random_networks(24):
         new, old = _lift_engine(net), crossing_list_rank(net)
         for _ in range(2000):
             mask = rng.getrandbits(len(net.edges) + 1)
@@ -122,22 +127,10 @@ def test_cocircuits_are_minimal():
                 assert M.rank((ground - z) | {x}) == r
 
 
-def _seeded_random_networks(count):
-    nets = []
-    seed = 0
-    while len(nets) < count:
-        try:
-            nets.append(random_network(7, 3, 0.5, seed))
-        except BadParameter:
-            pass
-        seed += 1
-    return nets
-
-
 def test_cocircuits_match_recursion():
     """The labelling search gives the recursion's ordered tuple exactly."""
     nets = corpus() + circular_corpus() + [sunflower(6)]
-    nets += _seeded_random_networks(24)
+    nets += seeded_random_networks(24)
     for net in nets:
         assert network_cocircuits(net) == recursion_cocircuits(net), net.name
 
