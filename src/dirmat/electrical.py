@@ -2,15 +2,19 @@
 
 The response matrix is computed by an exact Schur complement over the
 rationals. The sweeps (grove identities, Rayleigh differences, proper
-position, monotonicity, the lower bound) evaluate grove polynomials at
-seeded rational points. Points are cleared to integers first: the grove
-polynomials are homogeneous, so scaling by the positive lcm of the
-denominators never changes a sign or an identity, and integer arithmetic is
-much faster than Fractions. Reported minima are scaled back.
+position, monotonicity, the lower bound) evaluate the grove polynomials that
+grovepoly.grove_polys caches, one MultiAffinePoly each, at seeded rational
+points; the Rayleigh difference, the mixed form E_ij and the Wronskian are
+read off one value-and-partials pass per polynomial and point, and line
+restrictions read the same polynomials. Points are cleared to integers
+first: the grove polynomials are homogeneous, so scaling by the positive lcm
+of the denominators never changes a sign or an identity, and integer
+arithmetic is much faster than Fractions. Reported minima are scaled back.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -21,7 +25,6 @@ from .errors import (
     ZeroRestriction,
 )
 from .grovepoly import grove_polys
-from .network import EH, groves
 from .polynomials import IntPoly
 from .sturm import DEFAULT_WIDTH, interlace_check
 
@@ -146,81 +149,7 @@ def response(net, x):
     return ResponseMatrix(lap.boundary_order, entries, det)
 
 
-# -- bulk evaluation of set-family polynomials at integer points ------------
-
-
-class TermEvaluator:
-    """One pass over the terms gives the value and all partials at a point.
-
-    Terms are variable-index tuples with integer coefficients (grove families
-    have coefficient 1 throughout). At an integer point, each term
-    contributes its product to the value, product-over-the-rest to first
-    partials, and so on; zeros are handled by counting zero factors instead
-    of multiplying them in.
-    """
-
-    __slots__ = ("nvars", "terms", "degree")
-
-    def __init__(self, family, var_order, coeffs=None):
-        idx = {v: i for i, v in enumerate(var_order)}
-        self.nvars = len(var_order)
-        self.terms = []
-        deg = 0
-        for k, s in enumerate(family):
-            c = 1 if coeffs is None else coeffs[k]
-            self.terms.append((c, tuple(sorted(idx[v] for v in s))))
-            deg = max(deg, len(s))
-        self.degree = deg
-
-    def value(self, v):
-        total = 0
-        for c, term in self.terms:
-            p = c
-            for i in term:
-                p *= v[i]
-                if not p:
-                    break
-            total += p
-        return total
-
-    def full(self, v):
-        """(value, first partials list, second partials dict keyed (i, j), i < j)."""
-        value = 0
-        first = [0] * self.nvars
-        second = {}
-        for c, term in self.terms:
-            zs = [i for i in term if not v[i]]
-            nz = len(zs)
-            if nz == 0:
-                p = c
-                for i in term:
-                    p *= v[i]
-                value += p
-                for i in term:
-                    first[i] += p // v[i]
-                for a in range(len(term)):
-                    pa = p // v[term[a]]
-                    for b in range(a + 1, len(term)):
-                        key = (term[a], term[b])
-                        second[key] = second.get(key, 0) + pa // v[term[b]]
-            elif nz == 1:
-                z = zs[0]
-                p = c
-                for i in term:
-                    if i != z:
-                        p *= v[i]
-                first[z] += p
-                for i in term:
-                    if i != z:
-                        key = (z, i) if z < i else (i, z)
-                        second[key] = second.get(key, 0) + p // v[i]
-            elif nz == 2:
-                p = c
-                for i in term:
-                    if v[i]:
-                        p *= v[i]
-                second[(zs[0], zs[1])] = second.get((zs[0], zs[1]), 0) + p
-        return value, first, second
+# -- sampled checks of the grove polynomials --------------------------------
 
 
 def sample_point(rng, labels, zero_rate=Fraction(1, 8), positive=False):
@@ -247,121 +176,107 @@ def scale_to_integers(point):
     return {k: int(Fraction(v) * c) for k, v in point.items()}, c
 
 
-def _cached(net, key, build):
-    got = net._cache.get(key)
-    if got is None:
-        got = build()
-        net._cache[key] = got
-    return got
+def _point_identities(net, gp, ints):
+    """The response-vs-grove checks at one integer point; None if P0 = 0 there.
 
-
-def _evaluators(net):
-    def build():
-        variables = net.edge_order
-        ev0 = TermEvaluator(groves(net, "no-crossing"), variables)
-        ev1 = TermEvaluator(groves(net, "one-crossing"), variables)
-        extended = variables + (EH,)
-        fam = list(groves(net, "one-crossing"))
-        fam += [fs | {EH} for fs in groves(net, "no-crossing")]
-        evb = TermEvaluator(fam, extended)
-        return ev0, ev1, evb
-
-    return _cached(net, "term_evaluators", build)
-
-
-def _pair_evaluators(net):
-    def build():
-        gp = grove_polys(net)
-        out = {}
-        for pair, poly in gp["pairs"].items():
-            out[pair] = TermEvaluator(sorted(poly.terms), net.edge_order)
-        return out
-
-    return _cached(net, "pair_evaluators", build)
+    Returns (det D = P0, trace(Lambda) * P0 = 2 P1, {pair: -Lambda_ij * P0 =
+    P_ij} for each boundary pair a crossing joins, and the pairs no crossing
+    joins whose Lambda_ij is not 0). The response's symmetry and zero row
+    sums are checked inside response().
+    """
+    vec = [ints[e] for e in net.edge_order]
+    p0 = gp["P0"].value(vec)
+    if p0 == 0:
+        return None
+    lam = response(net, ints)
+    pairs = {pair: -lam[pair] * p0 == poly.value(vec) for pair, poly in gp["pairs"].items()}
+    stray = [
+        pair
+        for pair in combinations(lam.boundary_order, 2)
+        if pair not in gp["pairs"] and lam[pair] != 0
+    ]
+    trace_ok = lam.trace() * p0 == 2 * gp["P1"].value(vec)
+    return lam.det_interior == p0, trace_ok, pairs, stray
 
 
 def identity_sweep(net, trials=200, seed=0):
     """Exact response-vs-grove identity checks at seeded nonsingular points.
 
     At each point: det D = P0, response symmetric with zero row sums (checked
-    inside response()), -Lambda_ij * P0 = P_ij for every boundary pair, and
-    trace(Lambda) * P0 = 2 P1. Singular draws are skipped and resampled.
+    inside response()), -Lambda_ij * P0 = P_ij for every boundary pair a
+    crossing joins, Lambda_ij = 0 for every other pair, and trace(Lambda) *
+    P0 = 2 P1. Singular draws are skipped and resampled.
     """
     rng = random.Random(f"identities:{seed}")
-    ev0, ev1, _ = _evaluators(net)
-    pair_evs = _pair_evaluators(net)
-    bd = tuple(sorted(net.boundary))
-    order = {b: i for i, b in enumerate(bd)}
+    gp = grove_polys(net)
     failures = []
     skipped = 0
     done = 0
     while done < trials:
-        pt = sample_point(rng, net.edge_order)
-        ints, _ = scale_to_integers(pt)
-        vec = [ints[e] for e in net.edge_order]
-        p0 = ev0.value(vec)
-        if p0 == 0:
+        ints, _ = scale_to_integers(sample_point(rng, net.edge_order))
+        got = _point_identities(net, gp, ints)
+        if got is None:
             skipped += 1
             continue
-        lam = response(net, ints)
-        if lam.det_interior != p0:
+        det_ok, trace_ok, pairs, stray = got
+        if not det_ok:
             failures.append(("detD", dict(ints)))
-        p1 = ev1.value(vec)
-        if lam.trace() * p0 != 2 * p1:
+        if not trace_ok:
             failures.append(("trace", dict(ints)))
-        seen_pairs = set()
-        for pair, ev in pair_evs.items():
-            i, j = order[pair[0]], order[pair[1]]
-            if -lam.entries[i][j] * p0 != ev.value(vec):
-                failures.append(("offdiag", pair, dict(ints)))
-            seen_pairs.add((i, j))
-        for i in range(len(bd)):
-            for j in range(i + 1, len(bd)):
-                if (i, j) not in seen_pairs and lam.entries[i][j] != 0:
-                    failures.append(("offdiag-zero", (bd[i], bd[j]), dict(ints)))
+        failures += [("offdiag", pair, dict(ints)) for pair, good in pairs.items() if not good]
+        failures += [("offdiag-zero", pair, dict(ints)) for pair in stray]
         done += 1
     return {
         "network": net.name,
         "points": done,
         "skipped_singular": skipped,
-        "pairs": len(pair_evs),
+        "pairs": len(gp["pairs"]),
         "failures": failures,
         "all_ok": not failures,
     }
 
 
 def grove_identities(net, x):
-    """The identity report at one explicit point (SingularInterior if P0 = 0)."""
+    """The identity report at one explicit point (SingularInterior if P0 = 0).
+
+    The same checks as identity_sweep: all_ok also needs Lambda_ij = 0 for
+    every boundary pair no crossing joins.
+    """
     ints, _ = scale_to_integers(x)
-    ev0, ev1, _ = _evaluators(net)
-    vec = [ints[e] for e in net.edge_order]
-    p0 = ev0.value(vec)
-    if p0 == 0:
+    got = _point_identities(net, grove_polys(net), ints)
+    if got is None:
         raise SingularInterior("P0 vanishes at this point")
-    lam = response(net, ints)
-    bd = tuple(sorted(net.boundary))
-    order = {b: i for i, b in enumerate(bd)}
-    pair_reports = {}
-    ok = lam.det_interior == p0
-    for pair, ev in _pair_evaluators(net).items():
-        i, j = order[pair[0]], order[pair[1]]
-        good = -lam.entries[i][j] * p0 == ev.value(vec)
-        pair_reports[pair] = good
-        ok = ok and good
-    trace_ok = lam.trace() * p0 == 2 * ev1.value(vec)
+    det_ok, trace_ok, pairs, stray = got
     return {
         "point": {k: ints[k] for k in sorted(ints)},
-        "det_ok": lam.det_interior == p0,
+        "det_ok": det_ok,
         "trace_ok": trace_ok,
-        "pairs": pair_reports,
-        "all_ok": ok and trace_ok,
+        "pairs": pairs,
+        "all_ok": det_ok and trace_ok and all(pairs.values()) and not stray,
     }
 
 
-def _hpp_core(evaluator, var_order, trials, seed, salt):
+def _delta(f, i, j):
+    """Rayleigh difference d_i f * d_j f - f * d_ij f from a full() output, i < j."""
+    value, first, second = f
+    return first[i] * first[j] - value * second.get((i, j), 0)
+
+
+def _mixed(f, g, i, j):
+    """E_ij(f, g) = d_i f d_j g + d_j f d_i g - f d_ij g - g d_ij f, i < j."""
+    (vf, ff, sf), (vg, fg, sg) = f, g
+    return ff[i] * fg[j] + ff[j] * fg[i] - vf * sg.get((i, j), 0) - vg * sf.get((i, j), 0)
+
+
+def _wronskian(f, g, i):
+    """W_i(f, g) = f * d_i g - d_i f * g from two full() outputs."""
+    return f[0] * g[1][i] - f[1][i] * g[0]
+
+
+def _hpp_core(poly, trials, seed, salt):
     rng = random.Random(f"{salt}:{seed}")
-    deg = evaluator.degree
-    rescale = 2 * deg - 2
+    var_order = poly.variables
+    rescale = 2 * poly.degree - 2
     min_val = None
     min_at = None
     violations = []
@@ -369,12 +284,11 @@ def _hpp_core(evaluator, var_order, trials, seed, salt):
     for _ in range(trials):
         pt = sample_point(rng, var_order)
         ints, c = scale_to_integers(pt)
-        vec = [ints[v] for v in var_order]
-        value, first, second = evaluator.full(vec)
+        f = poly.full([ints[v] for v in var_order])
         factor = Fraction(1, c**rescale)
         for i in range(len(var_order)):
             for j in range(i + 1, len(var_order)):
-                d = first[i] * first[j] - value * second.get((i, j), 0)
+                d = _delta(f, i, j)
                 checks += 1
                 orig = d * factor
                 if min_val is None or orig < min_val:
@@ -401,9 +315,7 @@ def hpp_sample(net, trials=100, seed=0):
     """
     if trials < 1:
         raise BadParameter("need at least one trial")
-    _, _, evb = _evaluators(net)
-    var_order = net.edge_order + (EH,)
-    report = _hpp_core(evb, var_order, trials, seed, f"hpp:{net.name}")
+    report = _hpp_core(grove_polys(net)["PB"], trials, seed, f"hpp:{net.name}")
     report["network"] = net.name
     return report
 
@@ -416,17 +328,11 @@ def hpp_scan_poly(poly, trials=100, seed=0):
     """
     if trials < 1:
         raise BadParameter("need at least one trial")
-    var_order = tuple(sorted(poly.variables))
-    masks = sorted(poly.terms)
-    fam = [sorted(m) for m in masks]
-    coeffs = [poly.terms[m] for m in masks]
-    for c in coeffs:
-        if Fraction(c).denominator != 1:
-            raise BadParameter("integer coefficients only in the scanner")
-    ev = TermEvaluator(fam, var_order, coeffs=[int(c) for c in coeffs])
+    if any(Fraction(c).denominator != 1 for c, _ in poly.terms):
+        raise BadParameter("integer coefficients only in the scanner")
     if not poly.is_homogeneous():
         raise BadParameter("the scanner assumes a homogeneous polynomial")
-    return _hpp_core(ev, var_order, trials, seed, "hpp-poly")
+    return _hpp_core(poly, trials, seed, "hpp-poly")
 
 
 def proper_position_checks(net, trials=100, seed=0):
@@ -439,10 +345,10 @@ def proper_position_checks(net, trials=100, seed=0):
     """
     if trials < 1:
         raise BadParameter("need at least one trial")
-    ev0, ev1, _ = _evaluators(net)
+    gp = grove_polys(net)
     var_order = net.edge_order
     rng = random.Random(f"proper:{net.name}:{seed}")
-    r = ev1.degree
+    r = gp["P1"].degree
     w_rescale = 2 * r - 2
     min_w = None
     min_margin = None
@@ -452,11 +358,11 @@ def proper_position_checks(net, trials=100, seed=0):
         pt = sample_point(rng, var_order)
         ints, c = scale_to_integers(pt)
         vec = [ints[v] for v in var_order]
-        v0, f0, s0 = ev0.full(vec)
-        v1, f1, s1 = ev1.full(vec)
+        g0 = gp["P0"].full(vec)
+        g1 = gp["P1"].full(vec)
         wf = Fraction(1, c**w_rescale)
         for i, e in enumerate(var_order):
-            w = v0 * f1[i] - f0[i] * v1
+            w = _wronskian(g0, g1, i)
             checks += 1
             orig = w * wf
             if min_w is None or orig < min_w:
@@ -465,16 +371,8 @@ def proper_position_checks(net, trials=100, seed=0):
                 violations.append(("wronskian", e, dict(pt), orig))
         for i in range(len(var_order)):
             for j in range(i + 1, len(var_order)):
-                key = (i, j)
-                e01 = (
-                    f0[i] * f1[j]
-                    + f0[j] * f1[i]
-                    - v0 * s1.get(key, 0)
-                    - v1 * s0.get(key, 0)
-                )
-                d0 = f0[i] * f0[j] - v0 * s0.get(key, 0)
-                d1 = f1[i] * f1[j] - v1 * s1.get(key, 0)
-                margin = 4 * d0 * d1 - e01 * e01
+                e01 = _mixed(g0, g1, i, j)
+                margin = 4 * _delta(g0, i, j) * _delta(g1, i, j) - e01 * e01
                 checks += 1
                 orig = margin * Fraction(1, c ** (4 * r - 6))
                 if min_margin is None or orig < min_margin:
@@ -502,8 +400,10 @@ def line_restriction(net, base, direction):
         if Fraction(direction[e]) <= 0:
             raise BadParameter("direction must be strictly positive")
     gp = grove_polys(net)
-    low = IntPoly(gp["P0"].restrict_line(base, direction))
-    high = IntPoly(gp["P1"].restrict_line(base, direction))
+    bvec = [base[e] for e in net.edge_order]
+    dvec = [direction[e] for e in net.edge_order]
+    low = IntPoly(gp["P0"].restrict_line(bvec, dvec))
+    high = IntPoly(gp["P1"].restrict_line(bvec, dvec))
     if low.is_zero() or high.is_zero():
         raise ZeroRestriction("a grove polynomial restricted to zero")
     return {"base": dict(base), "direction": dict(direction), "P0": low, "P1": high}
@@ -553,9 +453,9 @@ def monotonicity_and_bound(net, trials=100, seed=0):
     """
     if trials < 1:
         raise BadParameter("need at least one trial")
-    ev0, ev1, evb = _evaluators(net)
+    gp = grove_polys(net)
     edges = net.edge_order
-    extended = edges + (EH,)
+    extended = gp["PB"].variables
     rng = random.Random(f"monotone:{net.name}:{seed}")
     eh_idx = len(edges)
     failures = []
@@ -566,13 +466,12 @@ def monotonicity_and_bound(net, trials=100, seed=0):
         pt = sample_point(rng, extended)
         ints, _ = scale_to_integers(pt)
         vec = [ints[v] for v in extended]
-        evec = vec[:-1]
-        vb, fb, sb = evb.full(vec)
-        v0, f0, s0 = ev0.full(evec)
-        v1, f1, s1 = ev1.full(evec)
+        gb = gp["PB"].full(vec)
+        g0 = gp["P0"].full(vec[:-1])
+        g1 = gp["P1"].full(vec[:-1])
         for i, e in enumerate(edges):
-            lhs = fb[eh_idx] * fb[i] - vb * sb.get((min(i, eh_idx), max(i, eh_idx)), 0)
-            rhs = v0 * f1[i] - f0[i] * v1
+            lhs = _delta(gb, i, eh_idx)
+            rhs = _wronskian(g0, g1, i)
             identity_checks += 1
             if lhs != rhs:
                 failures.append(("identity", e, dict(pt)))
@@ -580,15 +479,9 @@ def monotonicity_and_bound(net, trials=100, seed=0):
                 failures.append(("negative", e, dict(pt)))
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
-                key = (i, j)
-                d0 = f0[i] * f0[j] - v0 * s0.get(key, 0)
-                d1 = f1[i] * f1[j] - v1 * s1.get(key, 0)
-                e01 = (
-                    f0[i] * f1[j]
-                    + f0[j] * f1[i]
-                    - v0 * s1.get(key, 0)
-                    - v1 * s0.get(key, 0)
-                )
+                d0 = _delta(g0, i, j)
+                d1 = _delta(g1, i, j)
+                e01 = _mixed(g0, g1, i, j)
                 if d1 == 0:
                     skipped_pairs += 1
                     if e01 != 0:

@@ -1,14 +1,16 @@
 """Grove generating polynomials and chromatic-style invariants.
 
 The weighted grove counts of a network live in MultiAffinePoly (one variable
-per edge). The chromatic side works with IntPoly: chromatic polynomial of a
-multigraph by counting partitions into independent sets, the boundary-clique
-variant, and the precoloring polynomial obtained from it by exact division
-by a falling factorial.
+per edge, and one more, eh, in the basis polynomial). grove_polys builds them
+once per network and caches them; every evaluation, partial and line
+restriction of a grove polynomial reads that cache. The chromatic side works
+with IntPoly: chromatic polynomial of a multigraph by counting partitions
+into independent sets, the boundary-clique variant, and the precoloring
+polynomial obtained from it by exact division by a falling factorial.
 """
 
 from .errors import BadParameter, GraphTooLarge
-from .network import MultiGraph, add_boundary_clique, grove_crossing, groves
+from .network import EH, MultiGraph, add_boundary_clique, grove_crossing, groves
 from .polynomials import IntPoly, MultiAffinePoly
 
 
@@ -16,34 +18,36 @@ def grove_polys(net):
     """Grove generating polynomials of a network.
 
     Returns a dict with keys "P0" (groves with no crossing), "P1" (groves
-    with exactly one crossing), and "pairs", a dict mapping each unordered
+    with exactly one crossing), "PB", the basis polynomial P1 + x_eh * P0
+    over edge_order + (eh,), and "pairs", a dict mapping each unordered
     boundary pair (i, j), as a sorted tuple, to the generating polynomial of
     the one-crossing groves whose crossing joins i and j. Pairs never hit by
-    a crossing are absent.
+    a crossing are absent. P0, P1 and the pair polynomials are over
+    edge_order.
 
-    The bucket decomposition is checked on the spot: the pair polynomials
-    must add up to P1. Results are cached on the network.
+    The bucket decomposition is checked on the spot: the pair polynomials'
+    terms, taken together, must be P1's. Results are cached on the network.
     """
     hit = net._cache.get("grove_polys")
     if hit is not None:
         return hit
-    variables = net.edge_order
-    p0 = MultiAffinePoly.from_set_family(groves(net, "no-crossing"), variables)
+    edges = net.edge_order
+    none = groves(net, "no-crossing")
     ones = groves(net, "one-crossing")
-    p1 = MultiAffinePoly.from_set_family(ones, variables)
+    p1 = MultiAffinePoly(edges, ones)
     buckets = {}
     for fs in ones:
         buckets.setdefault(grove_crossing(net, fs), []).append(fs)
-    pairs = {
-        pair: MultiAffinePoly.from_set_family(fam, variables)
-        for pair, fam in sorted(buckets.items())
-    }
-    total = MultiAffinePoly(variables, {})
-    for poly in pairs.values():
-        total = total + poly
-    if total != p1:
+    pairs = {pair: MultiAffinePoly(edges, fam) for pair, fam in sorted(buckets.items())}
+    if sorted(t for poly in pairs.values() for t in poly.terms) != sorted(p1.terms):
         raise BadParameter("pair buckets do not add up to the one-crossing count")
-    out = {"P0": p0, "P1": p1, "pairs": pairs}
+    basis = list(ones) + [fs | {EH} for fs in none]
+    out = {
+        "P0": MultiAffinePoly(edges, none),
+        "P1": p1,
+        "PB": MultiAffinePoly(edges + (EH,), basis),
+        "pairs": pairs,
+    }
     net._cache["grove_polys"] = out
     return out
 

@@ -96,6 +96,25 @@ def _edge_block_scalars(net, coloring_by_block):
     return edge_scalar
 
 
+def _matrix_entries(net, F, edge_scalar):
+    """Rows (interior nodes, then the hub), columns (edges, then eh) and
+    entries; edge_scalar maps each boundary edge to its scalar."""
+    rows = list(net.interior) + [_hub_row(net)]
+    cols = list(net.edge_order) + [EH]
+    ridx = {v: i for i, v in enumerate(rows)}
+    entries = [[F.zero] * len(cols) for _ in rows]
+    for j, e in enumerate(net.edge_order):
+        a, b = net.edges[e]
+        if not net.is_boundary(a) and not net.is_boundary(b):
+            entries[ridx[a]][j] = F.one
+            entries[ridx[b]][j] = F.neg(F.one)
+        else:
+            entries[ridx[a if net.is_boundary(b) else b]][j] = F.one
+            entries[-1][j] = F.neg(edge_scalar[e])
+    entries[-1][-1] = F.one
+    return rows, cols, entries
+
+
 def representation_matrix(net, u, field=None):
     """The matrix for a single boundary scalar assignment u."""
     F = field or FieldQ()
@@ -107,20 +126,8 @@ def representation_matrix(net, u, field=None):
     for k in u:
         if k not in net._bset:
             raise UnknownLabel(f"u assigns non-boundary node {k!r}")
-    rows = list(net.interior) + [_hub_row(net)]
-    cols = list(net.edge_order) + [EH]
-    ridx = {v: i for i, v in enumerate(rows)}
-    entries = [[F.zero] * len(cols) for _ in rows]
-    for j, e in enumerate(net.edge_order):
-        a, b = net.edges[e]  # a < b
-        if not net.is_boundary(a) and not net.is_boundary(b):
-            entries[ridx[a]][j] = F.one
-            entries[ridx[b]][j] = F.neg(F.one)
-        else:
-            i, bd = (a, b) if net.is_boundary(b) else (b, a)
-            entries[ridx[i]][j] = F.one
-            entries[-1][j] = F.neg(uu[bd])
-    entries[-1][-1] = F.one
+    edge_scalar = {e: uu[w] for e, ends in net.edges.items() for w in ends if w in uu}
+    rows, cols, entries = _matrix_entries(net, F, edge_scalar)
     note = "single-u"
     if not is_block_injective(net, uu):
         note = (
@@ -132,24 +139,11 @@ def representation_matrix(net, u, field=None):
 
 def gain_representation_matrix(net, coloring_by_block, field):
     """The matrix for per-block boundary colorings (the general form)."""
-    F = field
-    edge_scalar = _edge_block_scalars(net, coloring_by_block)
-    rows = list(net.interior) + [_hub_row(net)]
-    cols = list(net.edge_order) + [EH]
-    ridx = {v: i for i, v in enumerate(rows)}
-    entries = [[F.zero] * len(cols) for _ in rows]
-    for j, e in enumerate(net.edge_order):
-        a, b = net.edges[e]
-        if not net.is_boundary(a) and not net.is_boundary(b):
-            entries[ridx[a]][j] = F.one
-            entries[ridx[b]][j] = F.neg(F.one)
-        else:
-            i, bd = (a, b) if net.is_boundary(b) else (b, a)
-            entries[ridx[i]][j] = F.one
-            entries[-1][j] = F.neg(edge_scalar[e])
-    entries[-1][-1] = F.one
+    rows, cols, entries = _matrix_entries(
+        net, field, _edge_block_scalars(net, coloring_by_block)
+    )
     return RepMatrix(
-        F,
+        field,
         rows,
         cols,
         entries,

@@ -4,8 +4,9 @@ IntPoly: dense univariate polynomials over the rationals (usually integers),
 coefficients stored constant term first.
 
 MultiAffinePoly: multivariate polynomials of degree at most one in each
-variable, stored as a map from variable subsets to coefficients. Generating
-polynomials of set families live here.
+variable, over an ordered tuple of variables, stored as (coefficient,
+variable positions) terms. The grove generating polynomials live here, and
+it gives their values, partials and restrictions to lines.
 """
 
 from fractions import Fraction
@@ -179,93 +180,109 @@ class IntPoly:
 
 
 class MultiAffinePoly:
-    """Multiaffine polynomial: sum of coeff * prod of distinct variables."""
+    """Multiaffine polynomial over an ordered tuple of variables.
 
-    __slots__ = ("variables", "terms")
+    Each term is a coefficient and a tuple of variable positions in
+    increasing order; `family` lists each term's set of variables and
+    `coeffs`, when given, their coefficients (1 throughout otherwise). The
+    variables keep the caller's order, because positions index the point
+    vectors every method takes and the order of reported variable pairs.
+    """
 
-    def __init__(self, variables, terms=None):
-        self.variables = tuple(sorted(set(variables)))
-        vset = frozenset(self.variables)
-        clean = {}
-        for mono, c in (terms or {}).items():
-            fs = frozenset(mono)
-            if not fs <= vset:
-                raise MissingVariable(
-                    f"term uses variables outside {sorted(vset)}: {sorted(fs)}"
-                )
-            c = _num(c) if not isinstance(c, Fraction) else c
-            if c:
-                clean[fs] = clean.get(fs, 0) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+    __slots__ = ("variables", "terms", "degree")
 
-    @classmethod
-    def from_set_family(cls, family, variables):
-        terms = {}
-        for fs in family:
-            key = frozenset(fs)
-            terms[key] = terms.get(key, 0) + 1
-        return cls(variables, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=-1)
+    def __init__(self, variables, family, coeffs=None):
+        self.variables = tuple(variables)
+        idx = {v: i for i, v in enumerate(self.variables)}
+        self.terms = []
+        deg = 0
+        for k, s in enumerate(family):
+            c = 1 if coeffs is None else coeffs[k]
+            try:
+                self.terms.append((c, tuple(sorted(idx[v] for v in s))))
+            except KeyError as exc:
+                raise MissingVariable(f"term uses unknown variable {exc.args[0]!r}") from None
+            deg = max(deg, len(s))
+        self.degree = deg
 
     def is_homogeneous(self):
-        degs = {len(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({len(term) for _, term in self.terms}) <= 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiAffinePoly)
-            and self.terms == other.terms
-        )
+    def value(self, v):
+        """The value at the point v (a vector in variable order)."""
+        total = 0
+        for c, term in self.terms:
+            p = c
+            for i in term:
+                p *= v[i]
+                if not p:
+                    break
+            total += p
+        return total
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def full(self, v):
+        """(value, first partials list, second partials dict keyed (i, j), i < j).
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiAffinePoly(self.variables, {frozenset(): other})
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return MultiAffinePoly(
-            set(self.variables) | set(other.variables), out
-        )
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            raise BadParameter("multiaffine polynomials only scale by numbers")
-        return MultiAffinePoly(
-            self.variables, {m: c * scalar for m, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
+        One pass over the terms at an integer point: each term contributes
+        its product to the value, product-over-the-rest to first partials,
+        and so on; zeros are handled by counting zero factors instead of
+        multiplying them in.
+        """
+        value = 0
+        first = [0] * len(self.variables)
+        second = {}
+        for c, term in self.terms:
+            zs = [i for i in term if not v[i]]
+            nz = len(zs)
+            if nz == 0:
+                p = c
+                for i in term:
+                    p *= v[i]
+                value += p
+                for i in term:
+                    first[i] += p // v[i]
+                for a in range(len(term)):
+                    pa = p // v[term[a]]
+                    for b in range(a + 1, len(term)):
+                        key = (term[a], term[b])
+                        second[key] = second.get(key, 0) + pa // v[term[b]]
+            elif nz == 1:
+                z = zs[0]
+                p = c
+                for i in term:
+                    if i != z:
+                        p *= v[i]
+                first[z] += p
+                for i in term:
+                    if i != z:
+                        key = (z, i) if z < i else (i, z)
+                        second[key] = second.get(key, 0) + p // v[i]
+            elif nz == 2:
+                p = c
+                for i in term:
+                    if v[i]:
+                        p *= v[i]
+                second[(zs[0], zs[1])] = second.get((zs[0], zs[1]), 0) + p
+        return value, first, second
 
     def restrict_line(self, base, direction):
-        """Coefficients (constant first) of t -> p(base + t*direction)."""
-        for v in self.variables:
-            if v not in base or v not in direction:
-                raise MissingVariable(f"line misses variable {v!r}")
-        deg = self.degree()
-        out = [0] * (max(deg, 0) + 1)
-        for m, c in self.terms.items():
+        """Coefficients (constant first) of t -> p(base + t*direction).
+
+        base and direction are vectors in variable order.
+        """
+        out = [0] * (self.degree + 1)
+        for c, term in self.terms:
             prod = [c]
-            for v in m:
-                b, d = base[v], direction[v]
+            for i in term:
+                b, d = base[i], direction[i]
                 nxt = [0] * (len(prod) + 1)
-                for i, pc in enumerate(prod):
+                for k, pc in enumerate(prod):
                     if pc:
-                        nxt[i] += pc * b
-                        nxt[i + 1] += pc * d
+                        nxt[k] += pc * b
+                        nxt[k + 1] += pc * d
                 prod = nxt
-            for i, pc in enumerate(prod):
-                out[i] += pc
+            for k, pc in enumerate(prod):
+                out[k] += pc
         return out
 
     def __repr__(self):

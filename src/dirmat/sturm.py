@@ -8,7 +8,7 @@ the verdicts are rigorous for the given inputs.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BadParameter, ZeroRestriction
 from .polynomials import IntPoly
@@ -16,22 +16,22 @@ from .polynomials import IntPoly
 DEFAULT_WIDTH = Fraction(1, 1 << 40)
 
 
-def _int_coeffs(p):
-    """Primitive integer coefficient list (constant first), positive leading."""
+def _primitive(p):
+    """Integer coefficient list (constant first) with the denominators cleared
+    and the positive content divided out, so the sign of p is kept."""
     cs = [Fraction(c) for c in p.coeffs]
     if not cs:
         return []
-    scale = 1
-    for c in cs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
+    scale = lcm(*(c.denominator for c in cs))
     ints = [int(c * scale) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _int_coeffs(p):
+    """Primitive integer coefficient list (constant first), positive leading."""
+    ints = _primitive(p)
+    return [-c for c in ints] if ints and ints[-1] < 0 else ints
 
 
 def _sign_at(coeffs, point):
@@ -118,31 +118,16 @@ def yun_decomposition(p):
     return out
 
 
-def _int_coeffs_signed(p):
-    """Like _int_coeffs but keeps the sign (divides by positive content only)."""
-    cs = [Fraction(c) for c in p.coeffs]
-    if not cs:
-        return []
-    scale = 1
-    for c in cs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [c // g for c in ints]
-
-
 def sturm_chain(s):
     """Sturm chain of a squarefree polynomial, integer-normalized.
 
     Chain elements are scaled by positive constants only; the sign structure
     is what makes the variation count work.
     """
-    chain = [_int_coeffs_signed(s)]
+    chain = [_primitive(s)]
     d = s.derivative()
     if not d.is_zero():
-        chain.append(_int_coeffs_signed(d))
+        chain.append(_primitive(d))
     while len(chain[-1]) > 1:
         a = [Fraction(c) for c in chain[-2]]
         b = chain[-1]
@@ -160,7 +145,7 @@ def sturm_chain(s):
             r.pop()
         if not r:
             break
-        chain.append(_int_coeffs_signed(IntPoly([-c for c in r])))
+        chain.append(_primitive(IntPoly([-c for c in r])))
     return chain
 
 

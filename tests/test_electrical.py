@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from dirmat import electrical
 from dirmat.electrical import (
-    TermEvaluator,
     grove_identities,
     hpp_sample,
     hpp_scan_poly,
@@ -17,7 +17,7 @@ from dirmat.electrical import (
 )
 from dirmat.errors import SingularInterior
 from dirmat.families import hexwheel, path, star, triangle
-from dirmat.network import EH, groves
+from dirmat.network import EH, Network, groves
 from dirmat.polynomials import MultiAffinePoly
 
 
@@ -63,6 +63,39 @@ def test_grove_identities_at_a_point():
     assert rep["all_ok"]
 
 
+def _two_blocks():
+    # a-i-b and b-j-c: crossings join (a, b) and (b, c), never (a, c)
+    return Network(
+        ["a", "b", "c", "i", "j"],
+        ["a", "b", "c"],
+        [("ai", "a", "i"), ("ib", "i", "b"), ("bj", "b", "j"), ("jc", "j", "c")],
+        name="two_blocks",
+    )
+
+
+def test_grove_identities_check_pairs_no_crossing_joins(monkeypatch):
+    net = _two_blocks()
+    x = {"ai": 2, "ib": 3, "bj": 5, "jc": 7}
+    rep = grove_identities(net, x)
+    assert rep["all_ok"] and set(rep["pairs"]) == {("a", "b"), ("b", "c")}
+    real = electrical.response
+
+    def skewed(net, x):
+        # response() has already checked symmetry and row sums
+        lam = real(net, x)
+        i, j = lam.boundary_order.index("a"), lam.boundary_order.index("c")
+        lam.entries[i][j] += 1
+        lam.entries[j][i] += 1
+        return lam
+
+    monkeypatch.setattr(electrical, "response", skewed)
+    rep = grove_identities(net, x)
+    assert rep["det_ok"] and rep["trace_ok"] and all(rep["pairs"].values())
+    assert not rep["all_ok"]
+    sweep = identity_sweep(net, trials=3, seed=0)
+    assert [f[:2] for f in sweep["failures"]] == [("offdiag-zero", ("a", "c"))] * 3
+
+
 def test_delta_eval_pinned_path3():
     # the basis polynomial of the two-edge path is x1 x2 + x_eh (x1 + x2);
     # its Rayleigh difference at (eh, e1) is x2^2
@@ -70,7 +103,7 @@ def test_delta_eval_pinned_path3():
     order = net.edge_order + (EH,)
     family = list(groves(net, "one-crossing"))
     family += [fs | {EH} for fs in groves(net, "no-crossing")]
-    ev = TermEvaluator(family, order)
+    ev = MultiAffinePoly(order, family)
     rng = random.Random(4)
     for _ in range(25):
         x = [rng.randint(-9, 9) for _ in order]
@@ -83,8 +116,8 @@ def test_wronskian_orientation_path3():
     # W_e(P0, P1) = P0 d_e P1 - d_e P0 P1 is x2^2 at e1 and x1^2 at e2, the
     # orientation proper_position_checks tests for nonnegativity
     net = path(3)
-    ev0 = TermEvaluator(groves(net, "no-crossing"), net.edge_order)
-    ev1 = TermEvaluator(groves(net, "one-crossing"), net.edge_order)
+    ev0 = MultiAffinePoly(net.edge_order, groves(net, "no-crossing"))
+    ev1 = MultiAffinePoly(net.edge_order, groves(net, "one-crossing"))
     rng = random.Random(6)
     for _ in range(25):
         x = [rng.randint(-9, 9), rng.randint(-9, 9)]
@@ -104,8 +137,7 @@ def test_hpp_scan_flags_a_counterexample():
     # x1*x2 - x3*x4 is multiaffine but not stable; some Rayleigh difference
     # must go negative
     poly = MultiAffinePoly(
-        ["x1", "x2", "x3", "x4"],
-        {frozenset({"x1", "x2"}): 1, frozenset({"x3", "x4"}): -1},
+        ["x1", "x2", "x3", "x4"], [{"x1", "x2"}, {"x3", "x4"}], coeffs=[1, -1]
     )
     rep = hpp_scan_poly(poly, trials=300, seed=0)
     assert not rep["all_nonnegative"]

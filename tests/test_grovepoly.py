@@ -14,13 +14,14 @@ from dirmat.grovepoly import (
 )
 from dirmat.network import add_boundary_clique
 from dirmat.polynomials import IntPoly
+from dirmat.verify import corpus
 
 from bruteforce import brute_color_count
 
 
 def _count(poly):
     # the coefficients of a generating polynomial add up to the family's size
-    return sum(poly.terms.values())
+    return sum(c for c, _ in poly.terms)
 
 
 def test_grove_counts_path3():
@@ -48,6 +49,43 @@ def test_pair_buckets_cover_p1():
     for net in [triangle(), star(4), double_path()]:
         gp = grove_polys(net)
         assert sum(_count(p) for p in gp["pairs"].values()) == _count(gp["P1"])
+
+
+def _at(vec, i, val):
+    out = list(vec)
+    out[i] = val
+    return out
+
+
+def test_multiaffine_partials_and_lines_against_values():
+    # full() against the multiaffine difference rule d_e f = f|x_e=1 - f|x_e=0
+    # (and its second-order form), and restrict_line against values along the
+    # line, on every grove polynomial of the small corpus networks
+    rng = random.Random(11)
+    nets = [net for net in corpus() if len(net.edges) <= 12]
+    assert len(nets) >= 20
+    for net in nets:
+        gp = grove_polys(net)
+        for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
+            n = len(poly.variables)
+            for _ in range(3):
+                vec = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                value, first, second = poly.full(vec)
+                assert value == poly.value(vec)
+                for i in range(n):
+                    assert first[i] == poly.value(_at(vec, i, 1)) - poly.value(_at(vec, i, 0))
+                    for j in range(i + 1, n):
+                        corners = [
+                            poly.value(_at(_at(vec, i, a), j, b)) for a in (0, 1) for b in (0, 1)
+                        ]
+                        d_ij = corners[3] - corners[2] - corners[1] + corners[0]
+                        assert second.get((i, j), 0) == d_ij
+                base = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
+                direction = [rng.choice([0, Fraction(rng.randint(1, 9), 2)]) for _ in range(n)]
+                line = IntPoly(poly.restrict_line(base, direction))
+                for t in range(poly.degree + 2):
+                    point = [b + t * d for b, d in zip(base, direction)]
+                    assert line(t) == poly.value(point)
 
 
 def test_chromatic_poly_matches_brute_force():
