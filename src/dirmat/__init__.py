@@ -4,7 +4,7 @@ that must always agree."""
 
 from .errors import DomainError
 from .network import EH, MultiGraph, Network
-from .circular import CircularNetwork, dual_network, og_dual, validate_embedding
+from .circular import CircularNetwork, dual_network, validate_embedding
 from .dirichlet import dirichlet_matroid
 from .families import FAMILIES, parse_generator
 from .matroid import Matroid
@@ -19,7 +19,6 @@ __all__ = [
     "Network",
     "dirichlet_matroid",
     "dual_network",
-    "og_dual",
     "parse_generator",
     "validate_embedding",
 ]

@@ -3,9 +3,11 @@
 A circular network is a network plus a combinatorial embedding in the
 closed disk: a clockwise rotation (cyclic order of incident edges) at every
 vertex, and the clockwise order in which the boundary nodes sit on the rim.
-Everything downstream of the drawing lives here: the dual network, the dual
-of the boundary-identified graph, insulators, and minimum circuit covers of
-cocircuits together with their size bounds.
+Everything downstream of the drawing lives here: the dual network,
+insulators, and minimum circuit covers of cocircuits together with their
+size bounds. Collapsing the rim to a point turns the rim arcs into faces, so
+the dual network, read as a multigraph, is also the planar dual of the
+boundary-identified graph.
 
 The machinery never distinguishes a drawing from its mirror image, so
 boundary orders are matched up to rotation and reversal, and duals are
@@ -357,38 +359,6 @@ def dual_network(cnet):
     return dual
 
 
-def og_dual(cnet, embedded=False):
-    """Planar dual of the boundary-identified graph, as a multigraph.
-
-    Collapsing the rim to a single point turns the rim arcs into honest
-    faces, so the dual has one vertex per region of the disk drawing and
-    the same edge adjacencies as the dual network. With embedded=True the
-    rotation system inherited from the face walks comes along too.
-    """
-    cn = _as_circular(cnet)
-    triples = [
-        (e, cn._region_of[(e, 0)], cn._region_of[(e, 1)])
-        for e in cn.edge_order
-    ]
-    mg = MultiGraph(cn.region_names, triples)
-    if mg.has_loop():
-        raise ConsistencyError("dual of the identified graph grew a loop")
-    nv_identified = len(cn.vertices) - len(cn.boundary) + 1
-    want = len(cn.edges) - nv_identified + 2
-    if len(mg.vertices) != want:
-        raise ConsistencyError(
-            f"dual has {len(mg.vertices)} vertices where the face count "
-            f"says {want}"
-        )
-    if not embedded:
-        return mg
-    rot = {
-        nm: tuple(lbl for lbl, _ in cn._region_walks[nm])
-        for nm in cn.region_names
-    }
-    return mg, rot
-
-
 def sphere_dual(mg, rotation):
     """Dual of a loopless multigraph drawn in the sphere by a rotation
     system. Returns (dual multigraph, dual rotation); faces are named F1,
@@ -413,9 +383,8 @@ def relabel_iso(a, b):
     """Vertex bijection between two graphs carrying the same edge labels.
 
     Edges must match label for label, endpoints corresponding; boundaries,
-    when both sides have one, must correspond setwise. Works for Networks
-    and MultiGraphs alike (graphs must be connected). Returns the mapping,
-    or None when there is none.
+    when both sides are Networks, must correspond setwise. Works for any
+    connected MultiGraph. Returns the mapping, or None when there is none.
     """
     if set(a.edges) != set(b.edges) or len(a.vertices) != len(b.vertices):
         return None
@@ -646,16 +615,16 @@ def duality_theorem_check(cnet):
     """Classify every cocircuit of the network matroid and check the bounds.
 
     A cocircuit without the extra element must be a circuit of the cycle
-    matroid of the identified graph's planar dual. One with the extra
-    element gets a minimum circuit cover in the dual matroid, whose size k
-    must satisfy m + 2 <= 4k and 2k < m + 2 for m boundary nodes. With
-    m = 2 the dual matroid must moreover be the dual of the primal one
-    under the identity on labels.
+    matroid of the dual network (the identified graph's planar dual). One
+    with the extra element gets a minimum circuit cover in the dual matroid,
+    whose size k must satisfy m + 2 <= 4k and 2k < m + 2 for m boundary
+    nodes. With m = 2 the dual matroid must moreover be the dual of the
+    primal one under the identity on labels.
     """
     cn = _as_circular(cnet)
     m = len(cn.boundary)
     matroid = _derived(cn, "duality:matroid")
-    graph_dual = Matroid.graphic(og_dual(cn))
+    graph_dual = Matroid.graphic(_derived(cn, "duality:dual_network"))
     rows = []
     ok = True
     for z in network_cocircuits(cn):

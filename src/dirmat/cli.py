@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .circular import dual_network, duality_theorem_check, og_dual
+from .circular import dual_network, duality_theorem_check
 from .dirichlet import connectivity_criteria, dirichlet_matroid
 from .electrical import (
     hpp_sample,
@@ -29,7 +29,6 @@ from .grovepoly import (
     cpintro_compare,
     hexwheel_report,
     hexwheel_scan,
-    network_graph,
     precoloring_poly,
 )
 from .linrep import min_field_size, representability
@@ -205,7 +204,7 @@ def _cmd_poly(parser, args):
         _emit(args, {"network": net.name, "precoloring": p.pretty("λ")}, [p.pretty("λ")])
         return 0
     if action == "chromatic":
-        p = chromatic_poly(network_graph(net))
+        p = chromatic_poly(net)
         _emit(args, {"network": net.name, "chromatic": p.pretty("λ")}, [p.pretty("λ")])
         return 0
     if action == "compare-cpintro":
@@ -334,14 +333,13 @@ def _cmd_dual(parser, args):
     action = _one_action(parser, args, ["build", "theorem-check"])
     if action == "build":
         dual = dual_network(net)
-        mg = og_dual(net)
         report = {
             "network": net.name,
             "dual_name": dual.name,
             "regions": list(dual.vertices),
             "rim_arcs": list(dual.boundary_order),
             "edges": {e: [u, v] for e, (u, v) in sorted(dual.edges.items())},
-            "graph_dual_vertices": sorted(mg.vertices),
+            "graph_dual_vertices": list(dual.vertices),
         }
         lines = [f"dual {dual.name}: regions {', '.join(dual.vertices)}"]
         lines.append(f"rim arcs: {', '.join(dual.boundary_order)}")

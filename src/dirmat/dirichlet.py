@@ -21,14 +21,11 @@ The lift description also gives the cocircuits directly
 criteria.
 """
 
+from itertools import combinations
+
 from .errors import GraphTooLarge
 from .matroid import Matroid, union_find
-from .network import (
-    EH,
-    add_boundary_clique,
-    identify_boundary,
-    interior_is_connected,
-)
+from .network import EH, add_boundary_clique, identify_boundary
 
 
 # -- the rank oracle ---------------------------------------------------------
@@ -134,22 +131,9 @@ def network_cocircuits(net, node_limit=4_000_000):
     # bonds: connected vertex bipartitions of the identified graph
     verts = og.vertices
     nv = len(verts)
-    vadj = {v: set(w for _, w in og.adj[v]) for v in verts}
 
     def side_connected(side):
-        side = set(side)
-        if not side:
-            return False
-        start = next(iter(side))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in vadj[x]:
-                if y in side and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(side)
+        return len(og.reach(next(iter(side)), side)) == len(side)
 
     for smask in range(1 << (nv - 1)):
         side = {verts[0]} | {verts[i + 1] for i in range(nv - 1) if smask >> i & 1}
@@ -242,24 +226,10 @@ def _vertex_connectivity(mg, cap):
         return cap
     if not mg.is_connected():
         return 0
-
-    from itertools import combinations
-
     for size in range(1, cap):
         for cut in combinations(verts, size):
-            rest = [v for v in verts if v not in cut]
-            if len(rest) <= 1:
-                continue
-            seen = {rest[0]}
-            stack = [rest[0]]
-            cutset = set(cut)
-            while stack:
-                x = stack.pop()
-                for y in pair_adj[x]:
-                    if y not in cutset and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(rest):
+            rest = set(verts) - set(cut)
+            if len(rest) > 1 and len(mg.reach(next(iter(rest)), rest)) != len(rest):
                 return size
     return cap
 
@@ -270,7 +240,7 @@ def connectivity_criteria(net):
     nabla = add_boundary_clique(net)
     nv = len(nabla.vertices)
     kappa = _vertex_connectivity(nabla, 3)
-    interior = interior_is_connected(net)
+    interior = len(net.components(net.interior)) <= 1
     return {
         "interior_connected": interior,
         # nabla is simple: the network is, and it has no boundary-boundary edge

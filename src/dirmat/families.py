@@ -301,8 +301,14 @@ def parse_generator(text):
     if name == "random":
         if len(args) not in (2, 3, 4):
             raise BadParameter("random takes n,m[,density[,seed]]")
-        n, m = int(args[0]), int(args[1])
-        dens = float(args[2]) if len(args) > 2 else 0.5
+        try:
+            n, m = int(args[0]), int(args[1])
+            dens = float(args[2]) if len(args) > 2 else 0.5
+        except ValueError:
+            raise BadParameter(
+                "n and m must be integers and density a number "
+                "(usage random:n,m[,density[,seed]])"
+            ) from None
         seed = args[3] if len(args) > 3 else 0
         return fn(n, m, dens, seed)
     try:

@@ -10,7 +10,7 @@ polynomial obtained from it by exact division by a falling factorial.
 """
 
 from .errors import BadParameter, GraphTooLarge
-from .network import EH, MultiGraph, add_boundary_clique, grove_crossing, groves
+from .network import EH, add_boundary_clique, grove_crossing, groves
 from .polynomials import IntPoly, MultiAffinePoly
 
 
@@ -115,13 +115,6 @@ def chromatic_poly(mg, limit=14):
     return out
 
 
-def network_graph(net):
-    """The underlying graph of a network, as a MultiGraph."""
-    return MultiGraph(
-        net.vertices, [(e, u, v) for e, (u, v) in net.edges.items()]
-    )
-
-
 def precoloring_poly(net, limit=14):
     """Precoloring polynomial: extensions of a rainbow boundary coloring.
 
@@ -179,7 +172,7 @@ def cpintro_compare(net, limit=14):
     """
     from .network import crossings
 
-    chi = chromatic_poly(network_graph(net), limit)
+    chi = chromatic_poly(net, limit)
     phi = precoloring_poly(net, limit)
     n = len(net.vertices)
     d = phi.degree()

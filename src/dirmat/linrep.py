@@ -16,7 +16,7 @@ from .errors import (
 )
 from .fields import FieldQ, make_field
 from .matroid import Matroid
-from .network import EH, blocks, crossing_pair_graph
+from .network import EH, block_decomposition, blocks, crossing_pair_graph
 
 
 def _hub_row(net):
@@ -83,8 +83,6 @@ def rank_over_field(field, mat):
 
 def _edge_block_scalars(net, coloring_by_block):
     """Scalar for each boundary edge from per-block boundary colorings."""
-    from .network import block_decomposition
-
     edge_scalar = {}
     for blk, tedges in block_decomposition(net):
         col = coloring_by_block[blk]
@@ -224,9 +222,8 @@ def per_block_colorings(net, field):
 
 
 def max_block_boundary(net):
-    from .network import block_boundary_counts
-
-    return max(block_boundary_counts(net))
+    """The most boundary nodes any one block holds."""
+    return max(sum(1 for v in blk if net.is_boundary(v)) for blk in blocks(net))
 
 
 def chromatic_number_of_pairs(net):
@@ -324,8 +321,6 @@ def representability(net, field_spec, verify_limit=14):
         return record
 
     # negative: find a uniform minor too big for the field
-    from .network import block_decomposition
-
     target = None
     for blk, tr in block_decomposition(net):
         bd = sorted(v for v in blk if net.is_boundary(v))

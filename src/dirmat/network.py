@@ -1,11 +1,14 @@
 """Networks with boundary.
 
 A network is a finite connected simple graph together with a distinguished set
-of at least two boundary nodes which spans no edge. Everything downstream
-(matroids, polynomials, response matrices, duals) is built on top of this
-module: validation, boundary-to-boundary paths (crossings), interior blocks,
-groves, and the two derived graphs (boundary nodes identified to a single
-node, and the boundary turned into a clique).
+of at least two boundary nodes which spans no edge. A Network is a MultiGraph
+that passed those checks, so the one traversal (`MultiGraph.reach`, and
+`components` built on it) serves networks, their quotients and their duals
+alike. Everything downstream (matroids, polynomials, response matrices,
+duals) is built on top of this module: validation, boundary-to-boundary
+paths (crossings), interior blocks, groves, and the two derived graphs
+(boundary nodes identified to a single node, and the boundary turned into a
+clique).
 
 The crossing list is the definition and can be exponential in the size of
 the network. Only `verify.triangulate`'s grove route and the girth of
@@ -32,7 +35,8 @@ class MultiGraph:
     """A labelled multigraph. Loops and parallel edges are allowed.
 
     Edges are (label, u, v) triples with unique labels. This is the carrier
-    for quotients and duals, where parallels naturally appear.
+    for quotients and duals, where parallels naturally appear, and the base
+    of Network.
     """
 
     def __init__(self, vertices, edges):
@@ -57,30 +61,36 @@ class MultiGraph:
                 adj[v].append((label, u))
         self.adj = adj
 
-    def degree(self, v):
-        # a loop contributes 2
-        return sum(2 if w == v else 1 for _, w in self.adj[v])
-
     def has_loop(self):
         return any(u == v for u, v in self.edges.values())
 
-    def components(self):
+    def reach(self, start, within=None):
+        """The set of vertices joined to `start` by a path whose other
+        vertices all lie in the set `within` (any vertex when it is None)."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for _, y in self.adj[x]:
+                if y not in seen and (within is None or y in within):
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    def components(self, within=None):
+        """The connected components of the subgraph induced on `within`
+        (the whole graph when it is None), sorted."""
+        if within is not None:
+            within = frozenset(within)
         seen = set()
         out = []
         for s in self.vertices:
-            if s in seen:
+            if s in seen or (within is not None and s not in within):
                 continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for _, y in self.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
+            comp = frozenset(self.reach(s, within))
             seen |= comp
-            out.append(frozenset(comp))
-        return sorted(out, key=lambda c: sorted(c))
+            out.append(comp)
+        return sorted(out, key=sorted)
 
     def is_connected(self):
         return len(self.components()) <= 1
@@ -104,14 +114,16 @@ class MultiGraph:
         return MultiGraph(self.vertices, edges), kept
 
 
-class Network:
-    """A connected simple graph with an independent boundary set.
+class Network(MultiGraph):
+    """A connected simple graph with an independent boundary set: a
+    MultiGraph with no loop, no parallel edge and no edge between two
+    boundary nodes.
 
     Validation happens at construction time and raises the taxonomy errors,
     so any Network object in hand is valid.
     """
 
-    def __init__(self, vertices, boundary, edges, name=None, _skip=False):
+    def __init__(self, vertices, boundary, edges, name=None):
         vs = list(vertices)
         if len(set(vs)) != len(vs):
             raise BadParameter("duplicate vertex labels")
@@ -126,14 +138,10 @@ class Network:
             raise BoundaryTooSmall(f"need at least 2 boundary nodes, got {len(bd)}")
         if len(bd) >= len(vs):
             raise BoundaryTooSmall("boundary must be a proper subset of the vertices")
-
-        self.vertices = tuple(sorted(vs))
-        self.boundary = tuple(sorted(bd))
         self._bset = frozenset(bd)
-        self.interior = tuple(v for v in self.vertices if v not in self._bset)
-        self.name = name or "network"
 
-        edict = {}
+        triples = []
+        labels = set()
         ends_seen = set()
         for item in edges:
             if len(item) == 3:
@@ -143,7 +151,7 @@ class Network:
                 label = f"{min(u, v)}-{max(u, v)}"
             if label == EH:
                 raise BadParameter(f"edge label {EH!r} is reserved")
-            if label in edict:
+            if label in labels:
                 raise BadParameter(f"duplicate edge label {label!r}")
             if u not in vset or v not in vset:
                 raise UnknownLabel(f"edge {label!r} joins unknown vertices {u!r},{v!r}")
@@ -155,31 +163,16 @@ class Network:
             ends_seen.add(key)
             if u in self._bset and v in self._bset:
                 raise BoundaryEdge(f"edge {label!r} joins two boundary nodes")
-            edict[label] = key
-        self.edges = edict
-        self.edge_order = tuple(sorted(edict))
+            labels.add(label)
+            triples.append((label, u, v))
+        super().__init__(vs, triples)
+        self.boundary = tuple(sorted(bd))
+        self.interior = tuple(v for v in self.vertices if v not in self._bset)
+        self.name = name or "network"
 
-        adj = {v: [] for v in self.vertices}
-        for label in self.edge_order:
-            u, v = edict[label]
-            adj[u].append((label, v))
-            adj[v].append((label, u))
-        self.adj = adj
-
-        # connectivity
-        if self.vertices:
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                x = stack.pop()
-                for _, y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(self.vertices):
-                raise Disconnected(
-                    f"{len(self.vertices) - len(seen)} vertices unreachable"
-                )
+        missed = len(self.vertices) - len(self.reach(self.vertices[0]))
+        if missed:
+            raise Disconnected(f"{missed} vertices unreachable")
 
         self._cache = {}
 
@@ -219,9 +212,21 @@ class Network:
         for key in ("vertices", "boundary", "edges"):
             if key not in data:
                 raise BadParameter(f"network JSON lacks {key!r}")
+        for key in ("rotation", "boundary_order"):
+            if key in data:
+                raise BadParameter(
+                    f"{key!r} belongs inside the network's \"embedding\" object"
+                )
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise BadParameter("name must be a string")
+        vertices = _labels(data["vertices"], "vertices")
+        boundary = _labels(data["boundary"], "boundary")
+        if not isinstance(data["edges"], list):
+            raise BadParameter("edges must be an array")
         edges = []
         for item in data["edges"]:
-            if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+            if len(_labels(item, "an edge entry")) not in (2, 3):
                 raise BadParameter(f"bad edge entry {item!r}")
             if len(item) == 3:
                 edges.append((item[2], item[0], item[1]))
@@ -231,17 +236,24 @@ class Network:
             from .circular import CircularNetwork
 
             emb = data["embedding"]
+            if not isinstance(emb, dict):
+                raise BadParameter("embedding must be an object")
             if "rotation" not in emb or "boundary_order" not in emb:
                 raise BadParameter("embedding needs rotation and boundary_order")
+            rotation = emb["rotation"]
+            if not isinstance(rotation, dict):
+                raise BadParameter("rotation must be an object")
+            for v, seq in rotation.items():
+                _labels(seq, f"the rotation at {v!r}")
             return CircularNetwork(
-                data["vertices"],
-                data["boundary"],
+                vertices,
+                boundary,
                 edges,
-                rotation=emb["rotation"],
-                boundary_order=emb["boundary_order"],
-                name=data.get("name"),
+                rotation=rotation,
+                boundary_order=_labels(emb["boundary_order"], "boundary_order"),
+                name=name,
             )
-        return cls(data["vertices"], data["boundary"], edges, name=data.get("name"))
+        return cls(vertices, boundary, edges, name=name)
 
     @classmethod
     def from_file(cls, path):
@@ -251,6 +263,13 @@ class Network:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise BadParameter(f"invalid JSON: {exc}") from None
         return cls.from_json(data)
+
+
+def _labels(items, what):
+    """A JSON array of string labels, checked."""
+    if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+        raise BadParameter(f"{what} must be an array of strings")
+    return items
 
 
 # -- derived graphs -------------------------------------------------------
@@ -342,45 +361,16 @@ def crossing_masks(net):
 # -- blocks ---------------------------------------------------------------
 
 
-def _interior_components(net):
-    comp_of = {}
-    comps = []
-    for s in net.interior:
-        if s in comp_of:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for _, y in net.adj[x]:
-                if not net.is_boundary(y) and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        for v in comp:
-            comp_of[v] = len(comps)
-        comps.append(comp)
-    return comps, comp_of
-
-
 def block_decomposition(net):
     """Pairs (vertex set, edge set), one per interior component: the
     component plus its adjacent boundary nodes, and every edge with an
     endpoint in the component. The edge sets partition E because
     boundary-boundary edges are forbidden."""
-    comps, comp_of = _interior_components(net)
     pairs = []
-    for k, comp in enumerate(comps):
-        bset = set()
-        for v in comp:
-            for _, y in net.adj[v]:
-                if net.is_boundary(y):
-                    bset.add(y)
-        eset = {
-            e
-            for e, (u, v) in net.edges.items()
-            if comp_of.get(u) == k or comp_of.get(v) == k
-        }
-        pairs.append((frozenset(comp | bset), frozenset(eset)))
+    for comp in net.components(net.interior):
+        bset = {y for v in comp for _, y in net.adj[v] if net.is_boundary(y)}
+        eset = {e for v in comp for e, _ in net.adj[v]}
+        pairs.append((comp | bset, frozenset(eset)))
     pairs.sort(key=lambda p: sorted(p[1]))
     return tuple(pairs)
 
@@ -401,18 +391,6 @@ def crossing_pair_graph(net):
         for b in bd:
             adj[b] |= bd - {b}
     return adj
-
-
-def block_boundary_counts(net):
-    """For each block, how many boundary nodes it contains."""
-    return tuple(
-        sum(1 for v in blk if net.is_boundary(v)) for blk in blocks(net)
-    )
-
-
-def interior_is_connected(net):
-    comps, _ = _interior_components(net)
-    return len(comps) <= 1
 
 
 # -- groves ---------------------------------------------------------------

@@ -7,7 +7,6 @@ from dirmat.circular import (
     duality_theorem_check,
     insulators,
     min_circuit_cover,
-    og_dual,
     relabel_iso,
     sphere_dual,
     validate_embedding,
@@ -105,7 +104,8 @@ def test_og_dual_euler_and_double_dual():
     from dirmat.network import identify_boundary
 
     for net in [wheatstone(), sunflower(3)]:
-        mg, rot = og_dual(net, embedded=True)
+        mg = dual_network(net)
+        rot = mg.rotation
         og, _ = identify_boundary(net)
         # V* - E + F* = 2 on the sphere
         assert len(mg.vertices) == len(net.edges) - len(og.vertices) + 2

@@ -118,6 +118,61 @@ def test_bad_json_file_is_domain_error(capsys, tmp_path, content):
     assert err.startswith("error: invalid JSON")
 
 
+_PATH = {"vertices": ["a", "b", "c"], "boundary": ["a", "c"],
+         "edges": [["a", "b", "e1"], ["b", "c", "e2"]]}
+
+
+@pytest.mark.parametrize("data", [
+    dict(_PATH, edges=5),
+    dict(_PATH, vertices=5),
+    dict(_PATH, boundary="ac"),
+    dict(_PATH, edges=[[["a"], "b"], ["b", "c"]]),
+    dict(_PATH, edges=[["a", "b", 1], ["b", "c", "e2"]]),
+    {"vertices": [1, 2, 3], "boundary": [1, 3], "edges": [[1, 2], [2, 3]]},
+    dict(_PATH, name=[1]),
+], ids=["edges-int", "vertices-int", "boundary-str", "list-endpoint",
+        "int-label", "int-vertices", "list-name"])
+def test_malformed_network_file_is_domain_error(capsys, tmp_path, data):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    for verb in (["validate"], ["rep", "--check"]):
+        rc = cli.run(verb + ["--file", str(f)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_embedding_file_format_is_checked(capsys, tmp_path):
+    from dirmat.families import wheatstone
+
+    data = wheatstone().to_json()
+    f = tmp_path / "wheatstone.json"
+    f.write_text(json.dumps(data))
+    out = run_ok(capsys, ["dual", "--file", str(f), "--build"])
+    assert "rim arcs" in out
+    # the same drawing with its embedding keys at the top level is refused,
+    # not loaded as a plain network; so is a list inside a rotation
+    flat = dict(data)
+    flat.update(flat.pop("embedding"))
+    nested = json.loads(json.dumps(data))
+    nested["embedding"]["rotation"]["b1"][0] = ["e1"]
+    for bad, word in [(flat, "embedding"), (nested, "rotation")]:
+        f.write_text(json.dumps(bad))
+        rc = cli.run(["dual", "--file", str(f), "--build"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and not out
+        assert err.startswith("error: ") and word in err
+
+
+@pytest.mark.parametrize("spec", ["random:5,2,abc", "random:x,2"])
+def test_bad_random_generator_is_domain_error(capsys, spec):
+    rc = cli.run(["validate", "--gen", spec])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert err.startswith("error: ")
+    assert "random:n,m[,density[,seed]]" in err
+
+
 def test_unknown_family_is_domain_error(capsys):
     rc = cli.run(["matroid", "--gen", "nosuch:3", "--list", "bases"])
     _, err = capsys.readouterr()
@@ -179,6 +234,20 @@ GOLDEN = [
      "0af89e8f438b9331aa27395ebd2876b3c3a7fc61c4be7129724fbdce7797d413"),
     (["electrical", "--gen", "star:4", "--interlace", "f1=0,f2=-1,f3=2/3,f4=5", "f1=1,f2=1,f3=2,f4=3"],
      "96655490071b749d31dff0792c8076f9ba8804c65fef4f11c68ab85607cdb171"),
+    # verbs that read the graph code: dual networks, chromatic polynomials,
+    # bond scans and vertex cuts
+    (["dual", "--gen", "sunflower:4", "--build"],
+     "dadb22d6ead923af754e9b06bce3e48e80f21b0197ce930e4b222b8f9b109acd"),
+    (["dual", "--gen", "sunflower:4", "--theorem-check"],
+     "7a123eeeb644f14348f611669b102f97f3af35df6a0364835a6afa6d777c9a64"),
+    (["poly", "--gen", "hexwheel:4", "--chromatic"],
+     "68f014349c8c63bef5788cab478ba31855eb77bf91849f4ff608ab82f97a28cf"),
+    (["poly", "--gen", "random:7,3,0.5,2", "--compare-cpintro"],
+     "7609d2c10a5387a00dddcd7c5c2b18fd0d31531715ce7a79dfa7c26700eaa23b"),
+    (["matroid", "--gen", "random:8,3,0.5,5", "--connectivity"],
+     "176bb959aa75aa9e8f57fa6ee5683174a0d91532f7aa481990f2a43b48f8f99d"),
+    (["matroid", "--gen", "double_path", "--connectivity"],
+     "37944f995f245b7842adb25b5ec154cacb379909b5fa143323318d1513be8e87"),
 ]
 
 

@@ -9,7 +9,6 @@ from dirmat.grovepoly import (
     cpintro_compare,
     grove_polys,
     hexwheel_scan,
-    network_graph,
     precoloring_poly,
 )
 from dirmat.network import add_boundary_clique
@@ -90,10 +89,9 @@ def test_multiaffine_partials_and_lines_against_values():
 
 def test_chromatic_poly_matches_brute_force():
     for net in [path(3), triangle(), star(3), hexwheel(3)]:
-        g = network_graph(net)
-        chi = chromatic_poly(g)
+        chi = chromatic_poly(net)
         for k in range(5):
-            assert chi(k) == brute_color_count(g, k)
+            assert chi(k) == brute_color_count(net, k)
 
 
 def test_precoloring_poly_counts_extensions():
