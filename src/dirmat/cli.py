@@ -88,7 +88,9 @@ def _emit(args, report, text_lines):
 
 
 def _one_action(parser, args, names):
-    chosen = [n for n in names if getattr(args, n.replace("-", "_")) not in (None, False)]
+    # by identity: a count of 0 is given, though 0 == False
+    given = [getattr(args, n.replace("-", "_")) for n in names]
+    chosen = [n for n, v in zip(names, given) if v is not None and v is not False]
     if len(chosen) != 1:
         parser.error(f"choose exactly one of: {', '.join('--' + n for n in names)}")
     return chosen[0]

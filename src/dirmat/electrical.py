@@ -1,8 +1,9 @@
 """Weighted Laplacians, response matrices, and stability evidence.
 
-The response matrix is computed by an exact Schur complement over the
-rationals. The sweeps (grove identities, Rayleigh differences, proper
-position, monotonicity, the lower bound) evaluate the grove polynomials that
+The response matrix is an exact Schur complement, computed in integers by
+fraction-free elimination once the point is cleared of denominators. The
+sweeps (grove identities, Rayleigh differences, proper position,
+monotonicity, the lower bound) evaluate the grove polynomials that
 grovepoly.grove_polys caches, one MultiAffinePoly each, at seeded rational
 points; the Rayleigh difference, the mixed form E_ij and the Wronskian are
 read off one value-and-partials pass per polynomial and point, and line
@@ -33,7 +34,7 @@ class WeightedLaplacian:
     """Block decomposition of the weighted Laplacian at a conductance point.
 
     A is boundary x boundary, B is boundary x interior, D is interior x
-    interior. Entries are exact rationals.
+    interior. Entries have the exact type of the weights.
     """
 
     __slots__ = ("boundary_order", "interior_order", "A", "B", "D")
@@ -63,7 +64,10 @@ class ResponseMatrix:
 
 
 def laplacian(net, x):
-    """Weighted Laplacian blocks at the conductance point x (label -> value)."""
+    """Weighted Laplacian blocks at the conductance point x (label -> value).
+
+    Entries keep the exact type of the weights: integers stay integers.
+    """
     for e in net.edge_order:
         if e not in x:
             raise MissingWeight(f"no weight for edge {e!r}")
@@ -72,9 +76,9 @@ def laplacian(net, x):
     order = bd + interior
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
-    full = [[Fraction(0)] * n for _ in range(n)]
+    full = [[0] * n for _ in range(n)]
     for e, (u, v) in net.edges.items():
-        w = Fraction(x[e])
+        w = x[e]
         iu, iv = pos[u], pos[v]
         full[iu][iu] += w
         full[iv][iv] += w
@@ -87,66 +91,72 @@ def laplacian(net, x):
     return WeightedLaplacian(tuple(bd), tuple(interior), A, B, D)
 
 
-def _solve_and_det(D, rhs):
-    """Solve D X = rhs exactly; returns (det D, X) or (0, None) if singular.
+def _bareiss(rows, k):
+    """Fraction-free Gauss-Jordan elimination of the first k columns, in place.
 
-    rhs is a list of rows (k x m); X comes back the same shape.
+    rows is an integer k x (k + m) matrix [D | R]. Every division is exact
+    (Bareiss, Math. Comp. 22, 1968), and each step leaves every pivot so far
+    equal to the current one, so the elimination ends with D turned into
+    p * I and R into p * D^-1 R, where p = +-det D. Returns (det D, p);
+    (0, 0) if D is singular.
     """
-    k = len(D)
-    m = len(rhs[0]) if k else 0
-    aug = [[Fraction(D[i][j]) for j in range(k)] + [Fraction(c) for c in rhs[i]] for i in range(k)]
-    det = Fraction(1)
+    width = len(rows[0]) if rows else 0
+    prev = 1
+    sign = 1
     for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        row = aug[col]
-        for j in range(col, k + m):
-            row[j] *= inv
+        piv_row = next((r for r in range(col, k) if rows[r][col]), None)
+        if piv_row is None:
+            return 0, 0
+        if piv_row != col:
+            rows[col], rows[piv_row] = rows[piv_row], rows[col]
+            sign = -sign
+        top = rows[col]
+        piv = top[col]
         for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                other = aug[r]
-                for j in range(col, k + m):
-                    other[j] -= f * row[j]
-    X = [aug[i][k:] for i in range(k)]
-    return det, X
+            if r == col:
+                continue
+            row = rows[r]
+            f = row[col]
+            row[col] = 0
+            if f:
+                for j in range(col + 1, width):
+                    row[j] = (piv * row[j] - f * top[j]) // prev
+            else:  # the common case in a sparse D: a rescale only
+                for j in range(col + 1, width):
+                    row[j] = piv * row[j] // prev
+        prev = piv
+    return sign * prev, prev
 
 
 def response(net, x):
-    """Response matrix by exact Schur complement; SingularInterior if det D = 0."""
-    lap = laplacian(net, x)
+    """Response matrix by exact Schur complement; SingularInterior if det D = 0.
+
+    The point is cleared to integers first: with ints = c * x, the Laplacian
+    at ints is c times the one at x, so the Schur complement is computed in
+    integers and divided by c at the end.
+    """
+    ints, c = scale_to_integers(x)
+    lap = laplacian(net, ints)
     k = len(lap.interior_order)
     m = len(lap.boundary_order)
-    bt = [[lap.B[j][i] for j in range(m)] for i in range(k)]
-    det, X = _solve_and_det(lap.D, bt) if k else (Fraction(1), [])
+    rows = [lap.D[i] + [lap.B[j][i] for j in range(m)] for i in range(k)]
+    det, p = _bareiss(rows, k)
     if det == 0:
         raise SingularInterior("interior block is singular at this point")
-    entries = []
+    # S = p * A - B * (p * D^-1 B^T) = p * Lambda(ints), an integer matrix
+    S = [
+        [p * lap.A[i][j] - sum(lap.B[i][t] * rows[t][k + j] for t in range(k)) for j in range(m)]
+        for i in range(m)
+    ]
     for i in range(m):
-        row = []
-        for j in range(m):
-            acc = Fraction(lap.A[i][j])
-            for t in range(k):
-                acc -= lap.B[i][t] * X[t][j]
-            row.append(acc)
-        entries.append(row)
-    for i in range(m):
-        if sum(entries[i]) != 0:
+        if sum(S[i]) != 0:
             raise ConsistencyError("response row sum is nonzero")
         for j in range(i):
-            if entries[i][j] != entries[j][i]:
+            if S[i][j] != S[j][i]:
                 raise ConsistencyError("response matrix is not symmetric")
-    return ResponseMatrix(lap.boundary_order, entries, det)
+    scale = p * c
+    entries = [[Fraction(v, scale) for v in row] for row in S]
+    return ResponseMatrix(lap.boundary_order, entries, Fraction(det, c**k))
 
 
 # -- sampled checks of the grove polynomials --------------------------------

@@ -189,7 +189,7 @@ class MultiAffinePoly:
     vectors every method takes and the order of reported variable pairs.
     """
 
-    __slots__ = ("variables", "terms", "degree")
+    __slots__ = ("variables", "terms", "degree", "_masks")
 
     def __init__(self, variables, family, coeffs=None):
         self.variables = tuple(variables)
@@ -204,19 +204,32 @@ class MultiAffinePoly:
                 raise MissingVariable(f"term uses unknown variable {exc.args[0]!r}") from None
             deg = max(deg, len(s))
         self.degree = deg
+        self._masks = None
 
     def is_homogeneous(self):
         return len({len(term) for _, term in self.terms}) <= 1
 
     def value(self, v):
-        """The value at the point v (a vector in variable order)."""
+        """The value at the point v (a vector in variable order).
+
+        Terms that hold a variable which is zero at v are skipped whole: the
+        first call keeps one bitmask of positions per term, which is tested
+        against the mask of v's zeros. Polynomials only ever differentiated
+        (the basis polynomial) keep none.
+        """
+        if self._masks is None:
+            self._masks = [sum(1 << i for i in term) for _, term in self.terms]
+        zero = 0
+        for i, x in enumerate(v):
+            if not x:
+                zero |= 1 << i
         total = 0
-        for c, term in self.terms:
+        for (c, term), mask in zip(self.terms, self._masks):
+            if mask & zero:
+                continue
             p = c
             for i in term:
                 p *= v[i]
-                if not p:
-                    break
             total += p
         return total
 

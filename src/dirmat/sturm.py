@@ -1,10 +1,13 @@
 """Exact real-root isolation and interlacing checks.
 
-Everything here works over the rationals: squarefree decomposition by Yun's
-algorithm, Sturm chains with integer coefficient normalization, bisection
-down to a requested interval width, and a multiplicity-aware interlacing
-test for a pair of univariate polynomials. No floating point anywhere, so
-the verdicts are rigorous for the given inputs.
+Inputs have rational coefficients; they are cleared to primitive integer
+forms first, and the remainder sequences stay in integers: gcds and Sturm
+chains are primitive pseudo-remainder sequences (Collins, J. ACM 14, 1967;
+Brown & Traub, J. ACM 18, 1971) scaled by positive factors only, so every
+sign survives. On top of them: squarefree decomposition by Yun's algorithm,
+bisection down to a requested interval width, and a multiplicity-aware
+interlacing test for a pair of univariate polynomials. No floating point
+anywhere, so the verdicts are rigorous for the given inputs.
 """
 
 from fractions import Fraction
@@ -16,21 +19,21 @@ from .polynomials import IntPoly
 DEFAULT_WIDTH = Fraction(1, 1 << 40)
 
 
-def _primitive(p):
+def _primitive(coeffs):
     """Integer coefficient list (constant first) with the denominators cleared
-    and the positive content divided out, so the sign of p is kept."""
-    cs = [Fraction(c) for c in p.coeffs]
-    if not cs:
+    and the positive content divided out, so the sign is kept. Coefficients
+    are ints or Fractions."""
+    if not coeffs:
         return []
-    scale = lcm(*(c.denominator for c in cs))
-    ints = [int(c * scale) for c in cs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
     g = gcd(*ints)
     return [c // g for c in ints]
 
 
 def _int_coeffs(p):
     """Primitive integer coefficient list (constant first), positive leading."""
-    ints = _primitive(p)
+    ints = _primitive(p.coeffs)
     return [-c for c in ints] if ints and ints[-1] < 0 else ints
 
 
@@ -45,40 +48,40 @@ def _sign_at(coeffs, point):
     return (acc > 0) - (acc < 0)
 
 
-def _frac_gcd(a, b):
-    """Monic gcd of two Fraction coefficient lists (constant first)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        # a mod b
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            c = r[-1] / b[-1]
-            off = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[off + i] -= c * bc
+def _prem(a, b):
+    """Remainder of a by b (integer lists, constant first, b nonzero), scaled
+    by a positive integer: each step multiplies by |lead(b)| / gcd(top,
+    lead(b)), never by a negative number, so the result has the signs of
+    a mod b."""
+    r = list(a)
+    lead = b[-1]
+    n = len(b)
+    while len(r) >= n:
+        top = r.pop()
+        g = gcd(top, lead)
+        mult, f = abs(lead) // g, top // g
+        if lead < 0:
+            f = -f
+        off = len(r) - n + 1
+        if mult != 1:
+            r = [mult * c for c in r]
+        for i in range(n - 1):
+            r[off + i] -= f * b[i]
+        while r and not r[-1]:
             r.pop()
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    return r
 
 
 def poly_gcd(p, q):
-    """Gcd of two IntPoly, returned primitive with positive leading term."""
-    g = _frac_gcd(list(p.coeffs), list(q.coeffs))
-    return IntPoly(_int_coeffs(IntPoly(g)))
+    """Gcd of two IntPoly, returned primitive with positive leading term.
+
+    A primitive pseudo-remainder sequence: each remainder's content is
+    divided out before the next step.
+    """
+    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return IntPoly(_int_coeffs(IntPoly(a)))
 
 
 def squarefree_part(p):
@@ -124,28 +127,15 @@ def sturm_chain(s):
     Chain elements are scaled by positive constants only; the sign structure
     is what makes the variation count work.
     """
-    chain = [_primitive(s)]
+    chain = [_primitive(s.coeffs)]
     d = s.derivative()
     if not d.is_zero():
-        chain.append(_primitive(d))
+        chain.append(_primitive(d.coeffs))
     while len(chain[-1]) > 1:
-        a = [Fraction(c) for c in chain[-2]]
-        b = chain[-1]
-        # a mod b, negated
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1] / b[-1]
-            off = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[off + i] -= c * bc
-            r.pop()
-            while r and r[-1] == 0 and len(r) >= len(b):
-                r.pop()
-        while r and r[-1] == 0:
-            r.pop()
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_primitive(IntPoly([-c for c in r])))
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
@@ -281,6 +271,9 @@ def interlace_check(low, high, width=DEFAULT_WIDTH):
     """
     if low.is_zero() or high.is_zero():
         raise ZeroRestriction("interlacing needs two nonzero polynomials")
+    # positive scalings move no root and change no multiplicity
+    low = IntPoly(_primitive(low.coeffs))
+    high = IntPoly(_primitive(high.coeffs))
     product = low * high
     s = squarefree_part(product)
     fac_low = [(_int_coeffs(f), k) for f, k in yun_decomposition(low)] if low.degree() else []

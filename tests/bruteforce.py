@@ -1,16 +1,21 @@
 """Small definition-level oracles used to cross-check the package.
 
 Everything here is written from the definitions, independent of the package
-internals, and only meant for tiny inputs. The exceptions are two earlier
-routes kept as references for what replaced them: `recursion_cocircuits`
-(for the labelling search), which reuses the package's lift rank and crossing
-list, and `crossing_list_rank` (for the union-find lift rank), the graphic rank
-of the identified graph plus a scan of the crossing list.
+internals, and only meant for tiny inputs. The exceptions are earlier routes
+kept as references for what replaced them: `recursion_cocircuits` (for the
+labelling search), which reuses the package's lift rank and crossing list,
+`crossing_list_rank` (for the union-find lift rank), the graphic rank of the
+identified graph plus a scan of the crossing list, and three routes in
+Fraction arithmetic (for the integer kernels): `fraction_response`, the
+Schur complement by Gauss-Jordan elimination over the package's Laplacian,
+and `frac_gcd` and `frac_sturm_chain`, Euclid's remainder sequence.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from dirmat.dirichlet import _check_cocircuit, _lift_engine
+from dirmat.electrical import laplacian
 from dirmat.errors import BadParameter, GraphTooLarge
 from dirmat.families import random_network
 from dirmat.matroid import graphic_rank
@@ -276,3 +281,115 @@ def recursion_cocircuits(net, node_limit=4_000_000):
 
     uniq = sorted({to_labels(z) for z in out}, key=lambda z: (len(z), sorted(z)))
     return tuple(uniq)
+
+
+def _solve_and_det(D, rhs):
+    """Solve D X = rhs exactly; returns (det D, X) or (0, None) if singular.
+
+    rhs is a list of rows (k x m); X comes back the same shape.
+    """
+    k = len(D)
+    m = len(rhs[0]) if k else 0
+    aug = [[Fraction(D[i][j]) for j in range(k)] + [Fraction(c) for c in rhs[i]] for i in range(k)]
+    det = Fraction(1)
+    for col in range(k):
+        piv = None
+        for r in range(col, k):
+            if aug[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0), None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
+        row = aug[col]
+        for j in range(col, k + m):
+            row[j] *= inv
+        for r in range(k):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                other = aug[r]
+                for j in range(col, k + m):
+                    other[j] -= f * row[j]
+    X = [aug[i][k:] for i in range(k)]
+    return det, X
+
+
+def fraction_response(net, x):
+    """(response entries, det D) at x by the Schur complement in Fractions,
+    or None when the interior block is singular."""
+    lap = laplacian(net, {e: Fraction(x[e]) for e in net.edge_order})
+    k = len(lap.interior_order)
+    m = len(lap.boundary_order)
+    bt = [[lap.B[j][i] for j in range(m)] for i in range(k)]
+    det, X = _solve_and_det(lap.D, bt) if k else (Fraction(1), [])
+    if det == 0:
+        return None
+    entries = [
+        [lap.A[i][j] - sum((lap.B[i][t] * X[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        for i in range(m)
+    ]
+    return entries, det
+
+
+def _frac_rem(a, b):
+    """a mod b for Fraction coefficient lists (constant first), b nonzero with
+    a nonzero leading coefficient; trailing zeros are stripped."""
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        off = len(r) - len(b)
+        for i, bc in enumerate(b):
+            r[off + i] -= c * bc
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def frac_gcd(a, b):
+    """Monic gcd of two Fraction coefficient lists (constant first)."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while b and any(b):
+        while b and b[-1] == 0:
+            b.pop()
+        if not b:
+            break
+        # a mod b
+        r = list(a)
+        while len(r) >= len(b) and any(r):
+            while r and r[-1] == 0:
+                r.pop()
+            if len(r) < len(b):
+                break
+            c = r[-1] / b[-1]
+            off = len(r) - len(b)
+            for i, bc in enumerate(b):
+                r[off + i] -= c * bc
+            r.pop()
+        a, b = b, r
+    while a and a[-1] == 0:
+        a.pop()
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def frac_sturm_chain(coeffs):
+    """Sturm chain of a squarefree polynomial in Fractions: p, p', and then
+    each next element minus the remainder of the two before it."""
+    chain = [[Fraction(c) for c in coeffs]]
+    d = [i * c for i, c in enumerate(chain[0])][1:]
+    if any(d):
+        chain.append(d)
+    while len(chain[-1]) > 1:
+        r = _frac_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain

@@ -206,6 +206,20 @@ def test_oversized_generator_hits_limit(capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["electrical", "--gen", "star:3", "--hpp-sample"], "need at least one trial"),
+    (["electrical", "--gen", "star:3", "--bound-sample"], "need at least one trial"),
+    (["poly", "--hexwheel-scan"], "the scan starts at m = 3"),
+], ids=["hpp-sample", "bound-sample", "hexwheel-scan"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_nonpositive_count_is_domain_error(capsys, argv, message, count):
+    # a count of 0 is an option given, not one left out
+    rc = cli.run(argv + [count])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_interlace_exit_codes(capsys):
     rc = cli.run(["electrical", "--gen", "path:3", "--interlace", "e1=2,e2=3", "e1=1,e2=1"])
     out, _ = capsys.readouterr()
@@ -248,6 +262,21 @@ GOLDEN = [
      "176bb959aa75aa9e8f57fa6ee5683174a0d91532f7aa481990f2a43b48f8f99d"),
     (["matroid", "--gen", "double_path", "--connectivity"],
      "37944f995f245b7842adb25b5ec154cacb379909b5fa143323318d1513be8e87"),
+    # the integer kernels: the Schur complement at points with negative,
+    # zero and fractional weights, and the Sturm chains of an interlacing line
+    (["electrical", "--gen", "sunflower:4", "--response",
+      "a1=3,a2=-1/2,a3=0,a4=5/3,b1=2,b2=7,b3=-4,b4=1/6,g1=1,g2=9/4,g3=-2/5,g4=3"],
+     "67f3ce09414d5b3a6c0d5cc5a0bd10288d40ae97401a7172be7b421e91d86a97"),
+    (["electrical", "--gen", "wheatstone", "--response", "e1=1,e2=2/3,e3=-5,e4=0,e5=7/2"],
+     "168958b173b439c03b15f98831250f0b6fc6788e866f48b1e0b95d68bc71aa76"),
+    (["electrical", "--gen", "sunflower:4", "--identities", "--limit", "10", "--seed", "2"],
+     "23de85f5230a2f8aeb4572a32bda4c4833f9bad4c82da709c524e3db205c6c1e"),
+    (["electrical", "--gen", "sunflower:4", "--bound-sample", "3", "--seed", "1"],
+     "3cd489d343437d8282a713d10da4ed19ef4d0eca9800745c60d4a0a2a297291f"),
+    (["electrical", "--gen", "hexwheel:5", "--interlace",
+      "c1=1,c2=-3,c3=0,c4=5/2,c5=2,p1=-1,p2=4,p3=1/3,p4=0,p5=6",
+      "c1=1,c2=2,c3=3,c4=1/2,c5=5,p1=7,p2=1,p3=2/3,p4=4,p5=3/2"],
+     "2c3e78f5c7b304e02798c7dd611bae3ac202203d85df25d740cfffcbd799c123"),
 ]
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,9 @@ from dirmat.errors import SingularInterior
 from dirmat.families import hexwheel, path, star, triangle
 from dirmat.network import EH, Network, groves
 from dirmat.polynomials import MultiAffinePoly
+from dirmat.verify import corpus
+
+from bruteforce import fraction_response, seeded_random_networks
 
 
 def test_response_closed_form_path3():
@@ -179,3 +183,58 @@ def test_laplacian_block_shapes():
     lap = laplacian(net, {e: 1 for e in net.edge_order})
     assert len(lap.boundary_order) == 4
     assert len(lap.interior_order) == 1
+
+
+def _mixed_point(rng, labels):
+    # mixed signs, mixed denominators and, one coordinate in four, an exact 0
+    return {
+        e: Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for e in labels
+    }
+
+
+def _agrees_with_fraction_route(net, x):
+    want = fraction_response(net, x)
+    if want is None:
+        with pytest.raises(SingularInterior):
+            response(net, x)
+        return False
+    lam = response(net, x)
+    assert lam.entries == want[0]
+    assert lam.det_interior == want[1]
+    return True
+
+
+def test_response_matches_fraction_elimination():
+    # the integer (Bareiss) Schur complement against Gauss-Jordan in
+    # Fractions, on the corpus and 20 seeded random networks
+    rng = random.Random("response-differential")
+    counts = {True: 0, False: 0}
+    for net in corpus() + seeded_random_networks(20):
+        for _ in range(8):
+            counts[_agrees_with_fraction_route(net, _mixed_point(rng, net.edge_order))] += 1
+    # both outcomes are exercised
+    assert counts[True] > 300 and counts[False] > 50
+
+
+def test_response_row_swap_and_no_interior():
+    # path(4)'s first interior pivot is e1 + e2 = 0 while det D = -1, so the
+    # elimination must swap rows
+    net = path(4)
+    x = {"e1": 1, "e2": -1, "e3": 2}
+    assert laplacian(net, x).D[0][0] == 0
+    assert _agrees_with_fraction_route(net, x)
+    assert response(net, x).det_interior == -1
+    # Network refuses a network whose every vertex is on the boundary; the
+    # four fields laplacian reads make one, whose response is its Laplacian
+    flat = SimpleNamespace(
+        vertices=("a", "b", "c"),
+        boundary=frozenset("abc"),
+        edges={"e1": ("a", "b"), "e2": ("b", "c")},
+        edge_order=("e1", "e2"),
+    )
+    x = {"e1": Fraction(-2, 3), "e2": Fraction(5)}
+    assert _agrees_with_fraction_route(flat, x)
+    lam = response(flat, x)
+    assert lam.det_interior == 1
+    assert lam["a", "b"] == Fraction(2, 3) and lam["b", "b"] == Fraction(13, 3)

@@ -87,6 +87,35 @@ def test_multiaffine_partials_and_lines_against_values():
                     assert line(t) == poly.value(point)
 
 
+def _term_loop(poly, vec):
+    total = 0
+    for c, term in poly.terms:
+        p = c
+        for i in term:
+            p *= vec[i]
+        total += p
+    return total
+
+
+def test_value_matches_a_plain_term_loop():
+    # the zero-mask skip of value() against multiplying out every term, on
+    # every grove polynomial of the corpus, at mixed-sign points with 0, 1
+    # and 2 zero coordinates
+    rng = random.Random(12)
+    for net in corpus():
+        gp = grove_polys(net)
+        for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
+            n = len(poly.variables)
+            for zeros in (0, 1, 2):
+                for _ in range(2):
+                    vec = [rng.choice([rng.randint(-50, -1), rng.randint(1, 50)]) for _ in range(n)]
+                    for i in rng.sample(range(n), zeros):
+                        vec[i] = 0
+                    assert poly.value(vec) == _term_loop(poly, vec)
+                    vec[rng.randrange(n)] = Fraction(rng.randint(-9, 9), 7)
+                    assert poly.value(vec) == _term_loop(poly, vec)
+
+
 def test_chromatic_poly_matches_brute_force():
     for net in [path(3), triangle(), star(3), hexwheel(3)]:
         chi = chromatic_poly(net)
