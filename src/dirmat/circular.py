@@ -27,7 +27,7 @@ from .errors import (
     NotPlanar,
 )
 from .matroid import Matroid, union_find
-from .network import EH, MultiGraph, Network
+from .network import EH, Network
 
 INSULATOR_LIMIT = 20
 
@@ -359,83 +359,6 @@ def dual_network(cnet):
     return dual
 
 
-def sphere_dual(mg, rotation):
-    """Dual of a loopless multigraph drawn in the sphere by a rotation
-    system. Returns (dual multigraph, dual rotation); faces are named F1,
-    F2, ... in trace order and every edge keeps its label."""
-    faces = _trace_faces(mg.edges, rotation)
-    if len(mg.vertices) - len(mg.edges) + len(faces) != 2:
-        raise NotPlanar("rotation system is not a sphere drawing")
-    region = {}
-    walks = {}
-    for i, wk in enumerate(faces):
-        nm = f"F{i + 1}"
-        walks[nm] = wk
-        for d in wk:
-            region[d] = nm
-    triples = [(e, region[(e, 0)], region[(e, 1)]) for e in mg.edge_order]
-    dual = MultiGraph(list(walks), triples)
-    rot = {nm: tuple(lbl for lbl, _ in wk) for nm, wk in walks.items()}
-    return dual, rot
-
-
-def relabel_iso(a, b):
-    """Vertex bijection between two graphs carrying the same edge labels.
-
-    Edges must match label for label, endpoints corresponding; boundaries,
-    when both sides are Networks, must correspond setwise. Works for any
-    connected MultiGraph. Returns the mapping, or None when there is none.
-    """
-    if set(a.edges) != set(b.edges) or len(a.vertices) != len(b.vertices):
-        return None
-    labels = sorted(a.edges)
-    if not labels:
-        return None
-    e0 = labels[0]
-    (u0, v0), (p0, q0) = a.edges[e0], b.edges[e0]
-    for seed in ({u0: p0, v0: q0}, {u0: q0, v0: p0}):
-        mapping = dict(seed)
-        pending = list(labels)
-        progress = True
-        ok = True
-        while pending and progress and ok:
-            progress = False
-            rest = []
-            for e in pending:
-                (u, v), (p, q) = a.edges[e], b.edges[e]
-                if u in mapping and v in mapping:
-                    if {mapping[u], mapping[v]} != {p, q}:
-                        ok = False
-                        break
-                    progress = True
-                elif u in mapping or v in mapping:
-                    x, y = (u, v) if u in mapping else (v, u)
-                    if mapping[x] == p:
-                        mapping[y] = q
-                    elif mapping[x] == q:
-                        mapping[y] = p
-                    else:
-                        ok = False
-                        break
-                    progress = True
-                else:
-                    rest.append(e)
-            pending = rest
-        if not ok or pending:
-            continue
-        if len(mapping) != len(a.vertices):
-            continue
-        if len(set(mapping.values())) != len(mapping):
-            continue
-        ba = getattr(a, "boundary", None)
-        bb = getattr(b, "boundary", None)
-        if ba is not None and bb is not None:
-            if {mapping[x] for x in ba} != set(bb):
-                continue
-        return mapping
-    return None
-
-
 # -- insulators --------------------------------------------------------------
 
 
@@ -660,9 +583,7 @@ def duality_theorem_check(cnet):
     if m == 2:
         dual_matroid = _derived(cn, "duality:dual_matroid")
         ident = {e: e for e in list(cn.edge_order) + [EH]}
-        iso = matroid.dual().iso_check(dual_matroid, mapping=ident)
-        if iso is None:
-            iso = matroid.dual().iso_check(dual_matroid)
+        iso = matroid.dual().iso_check(dual_matroid, ident)
         report["dual_iso"] = iso is not None
         ok = ok and report["dual_iso"]
     report["all_ok"] = ok

@@ -52,9 +52,6 @@ def grove_polys(net):
     return out
 
 
-_chromatic_cache = {}
-
-
 def chromatic_poly(mg, limit=14):
     """Chromatic polynomial of a multigraph, exact.
 
@@ -71,10 +68,6 @@ def chromatic_poly(mg, limit=14):
     n = len(verts)
     if n > limit:
         raise GraphTooLarge(f"{n} vertices exceeds the chromatic limit {limit}")
-    key = (verts, tuple(sorted(simple.edges.values())))
-    hit = _chromatic_cache.get(key)
-    if hit is not None:
-        return hit
     index = {v: i for i, v in enumerate(verts)}
     adj = [0] * n
     for u, v in simple.edges.values():
@@ -111,7 +104,6 @@ def chromatic_poly(mg, limit=14):
     for j, c in enumerate(parts[full - 1]):
         if c:
             out = out + c * IntPoly.falling_factorial(j)
-    _chromatic_cache[key] = out
     return out
 
 

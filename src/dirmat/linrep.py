@@ -162,14 +162,42 @@ def is_block_injective(net, u):
     return True
 
 
+def _colour(adj, nodes, palette):
+    """The first proper colouring of `nodes` (adjacency `adj`) from
+    `palette` in backtracking order, as a dict, or None when there is none.
+
+    Colours no node holds yet are interchangeable, so when one of them
+    fails at a node the others are not tried there.
+    """
+    col = {}
+
+    def go(i):
+        if i == len(nodes):
+            return True
+        v = nodes[i]
+        used = {col[w] for w in adj[v] if w in col}
+        for c in palette:
+            if c in used:
+                continue
+            fresh = c not in col.values()
+            col[v] = c
+            if go(i + 1):
+                return True
+            del col[v]
+            if fresh:
+                break
+        return False
+
+    return col if go(0) else None
+
+
 def block_injective_u(net, field=None):
     """A single scalar assignment injective on every block's boundary.
 
-    Found by backtracking proper colouring of the crossing-pair graph with
-    the field's elements; FieldTooSmall when impossible.
+    Found by properly colouring the crossing-pair graph with the field's
+    elements; FieldTooSmall when impossible.
     """
     F = field or FieldQ()
-    adj = crossing_pair_graph(net)
     nodes = list(net.boundary)
     palette = []
     stream = F.element_stream()
@@ -179,22 +207,8 @@ def block_injective_u(net, field=None):
             palette.append(next(stream))
         except StopIteration:
             break
-    u = {}
-
-    def assign(i):
-        if i == len(nodes):
-            return True
-        v = nodes[i]
-        for c in palette:
-            if any(u.get(w) == c for w in adj[v]):
-                continue
-            u[v] = c
-            if assign(i + 1):
-                return True
-            del u[v]
-        return False
-
-    if not assign(0):
+    u = _colour(crossing_pair_graph(net), nodes, palette)
+    if u is None:
         raise FieldTooSmall(
             f"no assignment over {F.name} is injective on every block"
         )
@@ -230,30 +244,8 @@ def chromatic_number_of_pairs(net):
     """Exact chromatic number of the crossing-pair graph on boundary nodes."""
     adj = crossing_pair_graph(net)
     nodes = list(net.boundary)
-
-    def colorable(k):
-        col = {}
-
-        def go(i):
-            if i == len(nodes):
-                return True
-            v = nodes[i]
-            used = {col[w] for w in adj[v] if w in col}
-            for c in range(k):
-                if c in used:
-                    continue
-                col[v] = c
-                if go(i + 1):
-                    return True
-                del col[v]
-                if c not in used and c == len(set(col.values())):
-                    break  # fresh colors are interchangeable
-            return False
-
-        return go(0)
-
     for k in range(1, len(nodes) + 1):
-        if colorable(k):
+        if _colour(adj, nodes, range(k)) is not None:
             return k
     return len(nodes)
 
@@ -262,8 +254,9 @@ def min_field_size(net, strict=True):
     """Largest block boundary count, cross-checked against the chromatic
     number of the crossing-pair graph.
 
-    The two can genuinely differ (see the alternating six-cycle in the
-    decisions ledger), in which case the block count is the one the
+    The two can genuinely differ (see the alternating six-cycle in
+    tests/test_linrep.py::test_six_cycle_separates_the_two_notions), in
+    which case the block count is the one the
     representability threshold obeys. strict=True raises ConsistencyError
     on a mismatch; strict=False reports both numbers.
     """

@@ -229,12 +229,9 @@ class Matroid:
 
     # -- broken circuits ----------------------------------------------------
 
-    def nbc_sets(self, order=None, reduced=False, limit=16):
-        """Subsets containing no broken circuit, w.r.t. the given order.
-
-        With reduced=True, only subsets avoiding the order-minimal element.
-        Returns a sorted tuple of frozensets.
-        """
+    def nbc_counts(self, order=None, limit=16):
+        """Sizes vector of the broken-circuit complex: entry i counts the
+        i-element subsets that contain no broken circuit w.r.t. the order."""
         order = list(order) if order is not None else sorted(self.ground)
         if sorted(order) != sorted(self.ground):
             raise BadParameter("order must list the ground set exactly")
@@ -243,87 +240,45 @@ class Matroid:
         for c in self.circuits(limit=limit):
             least = min(c, key=pos.__getitem__)
             broken.append(self.mask_of(c - {least}))
-        pool = order[1:] if reduced else order
-        pool_bits = [self.index[e] for e in pool]
-        out = []
+        bits = [self.index[e] for e in order]
+        counts = []
 
-        def grow(start, mask):
-            out.append(mask)
-            for i in range(start, len(pool_bits)):
-                m2 = mask | 1 << pool_bits[i]
-                if not any(bm and bm & m2 == bm for bm in broken):
-                    grow(i + 1, m2)
+        def grow(start, mask, size):
+            if size == len(counts):
+                counts.append(0)
+            counts[size] += 1
+            for i in range(start, len(bits)):
+                m2 = mask | 1 << bits[i]
+                if not any(bm & m2 == bm for bm in broken):
+                    grow(i + 1, m2, size + 1)
 
-        if not any(bm == 0 for bm in broken):
-            grow(0, 0)
-        return tuple(
-            sorted((self.labels_of(m) for m in out), key=lambda s: (len(s), sorted(s)))
-        )
-
-    def nbc_counts(self, order=None, reduced=False, limit=16):
-        """Sizes vector of the (reduced) broken-circuit complex."""
-        sets = self.nbc_sets(order=order, reduced=reduced, limit=limit)
-        top = max((len(s) for s in sets), default=-1)
-        counts = [0] * (top + 1)
-        for s in sets:
-            counts[len(s)] += 1
+        # a loop breaks the empty set, and then no subset counts
+        if 0 not in broken:
+            grow(0, 0, 0)
         return counts
 
     # -- isomorphism ----------------------------------------------------------
 
-    def iso_check(self, other, mapping=None, limit=12):
-        """Rank-preserving bijection test; searches for one if not given."""
+    def iso_check(self, other, mapping, limit=12):
+        """Whether `mapping` (each ground label to a label of `other`) is a
+        rank-preserving bijection: the mapping as a dict, or None."""
         n = len(self.ground)
         if n != len(other.ground) or self.full_rank() != other.full_rank():
             return None
         self._guard(limit, "isomorphism scan")
-        ra = [self._rank_mask(m) for m in range(1 << n)]
-        rb = [other._rank_mask(m) for m in range(1 << n)]
-        if mapping is not None:
-            img = [other.index[mapping[e]] for e in self.ground]
-            for m in range(1 << n):
-                mm = 0
-                t = m
-                while t:
-                    b = t & -t
-                    mm |= 1 << img[b.bit_length() - 1]
-                    t ^= b
-                if ra[m] != rb[mm]:
-                    return None
-            return dict(mapping)
-        if sorted(ra) != sorted(rb):
+        img = [other.index[mapping[e]] for e in self.ground]
+        if len(set(img)) != n:
             return None
-
-        img = [-1] * n
-        used = [False] * n
-
-        def extend(i, partial_masks):
-            if i == n:
-                return True
-            for j in range(n):
-                if used[j]:
-                    continue
-                img[i] = j
-                used[j] = True
-                ok = True
-                # check every subset that includes element i (others assigned)
-                for m, mm in partial_masks:
-                    if ra[m | 1 << i] != rb[mm | 1 << j]:
-                        ok = False
-                        break
-                if ok:
-                    nxt = partial_masks + [
-                        (m | 1 << i, mm | (1 << j)) for m, mm in partial_masks
-                    ]
-                    if extend(i + 1, nxt):
-                        return True
-                used[j] = False
-                img[i] = -1
-            return False
-
-        if extend(0, [(0, 0)]):
-            return {self.ground[i]: other.ground[img[i]] for i in range(n)}
-        return None
+        for m in range(1 << n):
+            mm = 0
+            t = m
+            while t:
+                b = t & -t
+                mm |= 1 << img[b.bit_length() - 1]
+                t ^= b
+            if self._rank_mask(m) != other._rank_mask(mm):
+                return None
+        return dict(mapping)
 
 
 def union_find(nv, ends, terminals=()):

@@ -8,18 +8,22 @@ labelling search), which reuses the package's lift rank and crossing list,
 identified graph plus a scan of the crossing list, and three routes in
 Fraction arithmetic (for the integer kernels): `fraction_response`, the
 Schur complement by Gauss-Jordan elimination over the package's Laplacian,
-and `frac_gcd` and `frac_sturm_chain`, Euclid's remainder sequence.
+and `frac_gcd` and `frac_sturm_chain`, Euclid's remainder sequence. The
+duality tests also use `sphere_dual`, which reuses the package's face
+tracing, and `relabel_iso`, a vertex bijection between two graphs with the
+same edge labels.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from dirmat.circular import _trace_faces
 from dirmat.dirichlet import _check_cocircuit, _lift_engine
 from dirmat.electrical import laplacian
-from dirmat.errors import BadParameter, GraphTooLarge
+from dirmat.errors import BadParameter, GraphTooLarge, NotPlanar
 from dirmat.families import random_network
 from dirmat.matroid import graphic_rank
-from dirmat.network import EH, crossing_masks, identify_boundary
+from dirmat.network import EH, MultiGraph, crossing_masks, identify_boundary
 
 
 def brute_crossings(net):
@@ -393,3 +397,80 @@ def frac_sturm_chain(coeffs):
             break
         chain.append([-c for c in r])
     return chain
+
+
+def sphere_dual(mg, rotation):
+    """Dual of a loopless multigraph drawn in the sphere by a rotation
+    system. Returns (dual multigraph, dual rotation); faces are named F1,
+    F2, ... in trace order and every edge keeps its label."""
+    faces = _trace_faces(mg.edges, rotation)
+    if len(mg.vertices) - len(mg.edges) + len(faces) != 2:
+        raise NotPlanar("rotation system is not a sphere drawing")
+    region = {}
+    walks = {}
+    for i, wk in enumerate(faces):
+        nm = f"F{i + 1}"
+        walks[nm] = wk
+        for d in wk:
+            region[d] = nm
+    triples = [(e, region[(e, 0)], region[(e, 1)]) for e in mg.edge_order]
+    dual = MultiGraph(list(walks), triples)
+    rot = {nm: tuple(lbl for lbl, _ in wk) for nm, wk in walks.items()}
+    return dual, rot
+
+
+def relabel_iso(a, b):
+    """Vertex bijection between two graphs carrying the same edge labels.
+
+    Edges must match label for label, endpoints corresponding; boundaries,
+    when both sides are Networks, must correspond setwise. Works for any
+    connected MultiGraph. Returns the mapping, or None when there is none.
+    """
+    if set(a.edges) != set(b.edges) or len(a.vertices) != len(b.vertices):
+        return None
+    labels = sorted(a.edges)
+    if not labels:
+        return None
+    e0 = labels[0]
+    (u0, v0), (p0, q0) = a.edges[e0], b.edges[e0]
+    for seed in ({u0: p0, v0: q0}, {u0: q0, v0: p0}):
+        mapping = dict(seed)
+        pending = list(labels)
+        progress = True
+        ok = True
+        while pending and progress and ok:
+            progress = False
+            rest = []
+            for e in pending:
+                (u, v), (p, q) = a.edges[e], b.edges[e]
+                if u in mapping and v in mapping:
+                    if {mapping[u], mapping[v]} != {p, q}:
+                        ok = False
+                        break
+                    progress = True
+                elif u in mapping or v in mapping:
+                    x, y = (u, v) if u in mapping else (v, u)
+                    if mapping[x] == p:
+                        mapping[y] = q
+                    elif mapping[x] == q:
+                        mapping[y] = p
+                    else:
+                        ok = False
+                        break
+                    progress = True
+                else:
+                    rest.append(e)
+            pending = rest
+        if not ok or pending:
+            continue
+        if len(mapping) != len(a.vertices):
+            continue
+        if len(set(mapping.values())) != len(mapping):
+            continue
+        ba = getattr(a, "boundary", None)
+        bb = getattr(b, "boundary", None)
+        if ba is not None and bb is not None:
+            if {mapping[x] for x in ba} != set(bb):
+                continue
+        return mapping
+    return None

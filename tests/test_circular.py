@@ -7,8 +7,6 @@ from dirmat.circular import (
     duality_theorem_check,
     insulators,
     min_circuit_cover,
-    relabel_iso,
-    sphere_dual,
     validate_embedding,
 )
 from dirmat.dirichlet import dirichlet_matroid, network_cocircuits
@@ -28,6 +26,8 @@ from dirmat.families import (
 )
 from dirmat.network import EH
 from dirmat.verify import circular_corpus
+
+from bruteforce import relabel_iso, sphere_dual
 
 
 def test_wheatstone_faces():
@@ -169,6 +169,20 @@ def test_figure_cover_sizes():
     s5 = sunflower(5)
     target = frozenset({"a2", "b2", "a3", "b3", "a4", "b4", "a5", "b5", EH})
     assert min_circuit_cover(s5, target)["size"] == 3
+
+
+def test_sunflower5_cover_and_greedy_sizes():
+    """Every cover through eh on sunflower(5), by (exact size, greedy size).
+    The 16 covers that greedy finds one circuit too large are the ones a
+    search that stopped at the greedy size would get wrong."""
+    s5 = sunflower(5)
+    pairs = {}
+    for z in network_cocircuits(s5):
+        if EH in z:
+            rep = min_circuit_cover(s5, z)
+            key = (rep["size"], rep["greedy"])
+            pairs[key] = pairs.get(key, 0) + 1
+    assert pairs == {(2, 2): 96, (2, 3): 16, (3, 3): 105}
 
 
 def test_two_terminal_dual_isomorphism():

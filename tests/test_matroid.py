@@ -94,6 +94,19 @@ def test_path3_matroid_is_graphic_triangle():
     assert M.iso_check(G, mapping=mapping)
 
 
+def test_iso_check_refuses_a_map_that_changes_ranks():
+    # a and b are parallel, c is a coloop; swapping b and c keeps the
+    # ground set, the full rank and every singleton rank, but not rank({a, b})
+    mg = MultiGraph([1, 2, 3], [("a", 1, 2), ("b", 1, 2), ("c", 2, 3)])
+    G = Matroid.graphic(mg)
+    swap = {"a": "a", "b": "c", "c": "b"}
+    assert G.rank(["a", "b"]) != G.rank([swap["a"], swap["b"]])
+    assert G.iso_check(G, mapping=swap) is None
+    # folding the parallel pair onto a preserves every rank but is no bijection
+    assert G.iso_check(G, mapping={"a": "a", "b": "a", "c": "c"}) is None
+    assert G.iso_check(G, mapping={e: e for e in G.ground}) is not None
+
+
 def test_cocircuit_routes_agree():
     nets = corpus() + circular_corpus()
     nets = [net for net in nets if len(net.edges) + 1 <= 16]

@@ -5,7 +5,8 @@ its name occurs somewhere in `src/dirmat` or `perfbench/` outside its own
 body: as a name, as an attribute, or as a string (the benchmark's tracer
 names the functions it wraps by string, and `__all__` lists exports).
 Matching is by name only, so a method shares its reach with every other
-definition of the same name.
+definition of the same name. Likewise every module-level import of a
+module is used in that module, except the re-exports of `__init__.py`.
 """
 
 import ast
@@ -15,13 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dirmat"
 SCANNED = [PACKAGE, ROOT / "perfbench"]
 
-# Reached only from tests, on purpose: the scanner's negative control, the
-# graph-isomorphism and sphere-dual helpers behind the duality tests, root
+# Reached only from tests, on purpose: the scanner's negative control, root
 # isolation on its own, and the JSON writer the file-loading tests use.
 ALLOWED = {
     "hpp_scan_poly",
-    "relabel_iso",
-    "sphere_dual",
     "isolate_roots",
     "Network.to_json",
 }
@@ -76,3 +74,24 @@ def test_every_definition_has_a_caller():
     # an allowed name that gains a caller, or goes away, leaves the list
     stale = ALLOWED - {item.split(" ")[1] for item in found}
     assert not stale, f"allowed but reached or gone: {sorted(stale)}"
+
+
+def unused_imports():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in names:
+                        out.append(f"{path.name}:{node.lineno} {bound}")
+    return out
+
+
+def test_every_import_is_used():
+    found = unused_imports()
+    assert not found, "imported but never used: " + ", ".join(found)
