@@ -6,11 +6,14 @@ sweeps (grove identities, Rayleigh differences, proper position,
 monotonicity, the lower bound) evaluate the grove polynomials that
 grovepoly.grove_polys caches, one MultiAffinePoly each, at seeded rational
 points; the Rayleigh difference, the mixed form E_ij and the Wronskian are
-read off one value-and-partials pass per polynomial and point, and line
-restrictions read the same polynomials. Points are cleared to integers
-first: the grove polynomials are homogeneous, so scaling by the positive lcm
-of the denominators never changes a sign or an identity, and integer
-arithmetic is much faster than Fractions. Reported minima are scaled back.
+read off one value-and-partials pass over each polynomial's suffix-sharing
+DAG per point, and line restrictions read the same polynomials' terms.
+Points are cleared to integers first: the grove polynomials are homogeneous,
+so scaling by the positive lcm of the denominators never changes a sign or
+an identity, and integer arithmetic is much faster than Fractions. Within
+one point every difference shares the same positive scale, so they are
+compared as integers; only each point's smallest value and the violations
+are scaled back to Fractions for the report.
 """
 
 import random
@@ -159,6 +162,18 @@ def response(net, x):
     return ResponseMatrix(lap.boundary_order, entries, Fraction(det, c**k))
 
 
+def grove_count(net):
+    """The number of groves: P_B(1, ..., 1) = det D * (1 + tr Lambda / 2).
+
+    One response call at the all-ones point, since P0 = det D (Kirchhoff)
+    and 2 P1 = tr Lambda * P0 (Kenyon & Wilson, Trans. AMS 363, 2011). D is
+    nonsingular there because a network is connected. The count only
+    guards the listing in network.groves; no check compares it.
+    """
+    lam = response(net, {e: 1 for e in net.edge_order})
+    return int(lam.det_interior * (1 + lam.trace() / 2))
+
+
 # -- sampled checks of the grove polynomials --------------------------------
 
 
@@ -179,11 +194,15 @@ def sample_point(rng, labels, zero_rate=Fraction(1, 8), positive=False):
 
 
 def scale_to_integers(point):
-    """(integer point dict, positive multiplier c) with ints = c * point."""
+    """(integer point dict, positive multiplier c) with ints = c * point.
+
+    Coordinates are ints or Fractions, read through their numerator and
+    denominator.
+    """
     c = 1
     for val in point.values():
-        c = lcm(c, Fraction(val).denominator)
-    return {k: int(Fraction(v) * c) for k, v in point.items()}, c
+        c = lcm(c, val.denominator)
+    return {k: v.numerator * (c // v.denominator) for k, v in point.items()}, c
 
 
 def _point_identities(net, gp, ints):
@@ -286,6 +305,7 @@ def _wronskian(f, g, i):
 def _hpp_core(poly, trials, seed, salt):
     rng = random.Random(f"{salt}:{seed}")
     var_order = poly.variables
+    pairs = list(combinations(range(len(var_order)), 2))
     rescale = 2 * poly.degree - 2
     min_val = None
     min_at = None
@@ -295,17 +315,22 @@ def _hpp_core(poly, trials, seed, salt):
         pt = sample_point(rng, var_order)
         ints, c = scale_to_integers(pt)
         f = poly.full([ints[v] for v in var_order])
-        factor = Fraction(1, c**rescale)
-        for i in range(len(var_order)):
-            for j in range(i + 1, len(var_order)):
-                d = _delta(f, i, j)
-                checks += 1
-                orig = d * factor
-                if min_val is None or orig < min_val:
-                    min_val = orig
-                    min_at = ((var_order[i], var_order[j]), dict(pt))
-                if d < 0:
-                    violations.append(((var_order[i], var_order[j]), dict(pt), orig))
+        # one point's differences share the scale c^rescale: compare them as
+        # integers, and scale back its first smallest one and the violations
+        ds = [_delta(f, i, j) for i, j in pairs]
+        checks += len(ds)
+        violations += [
+            ((var_order[i], var_order[j]), dict(pt), Fraction(d, c**rescale))
+            for (i, j), d in zip(pairs, ds)
+            if d < 0
+        ]
+        if ds:
+            low = min(ds)
+            orig = Fraction(low, c**rescale)
+            if min_val is None or orig < min_val:
+                i, j = pairs[ds.index(low)]
+                min_val = orig
+                min_at = ((var_order[i], var_order[j]), dict(pt))
     return {
         "trials": trials,
         "checks": checks,
@@ -358,8 +383,8 @@ def proper_position_checks(net, trials=100, seed=0):
     gp = grove_polys(net)
     var_order = net.edge_order
     rng = random.Random(f"proper:{net.name}:{seed}")
+    pairs = list(combinations(range(len(var_order)), 2))
     r = gp["P1"].degree
-    w_rescale = 2 * r - 2
     min_w = None
     min_margin = None
     violations = []
@@ -370,27 +395,29 @@ def proper_position_checks(net, trials=100, seed=0):
         vec = [ints[v] for v in var_order]
         g0 = gp["P0"].full(vec)
         g1 = gp["P1"].full(vec)
-        wf = Fraction(1, c**w_rescale)
-        for i, e in enumerate(var_order):
-            w = _wronskian(g0, g1, i)
-            checks += 1
-            orig = w * wf
-            if min_w is None or orig < min_w:
-                min_w = orig
-            if w < 0:
-                violations.append(("wronskian", e, dict(pt), orig))
-        for i in range(len(var_order)):
-            for j in range(i + 1, len(var_order)):
-                e01 = _mixed(g0, g1, i, j)
-                margin = 4 * _delta(g0, i, j) * _delta(g1, i, j) - e01 * e01
-                checks += 1
-                orig = margin * Fraction(1, c ** (4 * r - 6))
-                if min_margin is None or orig < min_margin:
-                    min_margin = orig
-                if margin < 0:
-                    violations.append(
-                        ("cauchy-schwarz", (var_order[i], var_order[j]), dict(pt), orig)
-                    )
+        # compared as integers within the point, as in _hpp_core
+        w_scale = c ** (2 * r - 2)
+        ws = [_wronskian(g0, g1, i) for i in range(len(var_order))]
+        violations += [
+            ("wronskian", e, dict(pt), Fraction(w, w_scale))
+            for e, w in zip(var_order, ws)
+            if w < 0
+        ]
+        low = Fraction(min(ws), w_scale)
+        min_w = low if min_w is None else min(min_w, low)
+        m_scale = c ** (4 * r - 6)
+        margins = []
+        for i, j in pairs:
+            e01 = _mixed(g0, g1, i, j)
+            margins.append(4 * _delta(g0, i, j) * _delta(g1, i, j) - e01 * e01)
+        violations += [
+            ("cauchy-schwarz", (var_order[i], var_order[j]), dict(pt), Fraction(m, m_scale))
+            for (i, j), m in zip(pairs, margins)
+            if m < 0
+        ]
+        low = Fraction(min(margins), m_scale)
+        min_margin = low if min_margin is None else min(min_margin, low)
+        checks += len(ws) + len(margins)
     return {
         "network": net.name,
         "trials": trials,

@@ -3,7 +3,11 @@
 The weighted grove counts of a network live in MultiAffinePoly (one variable
 per edge, and one more, eh, in the basis polynomial). grove_polys builds them
 once per network and caches them; every evaluation, partial and line
-restriction of a grove polynomial reads that cache. The chromatic side works
+restriction of a grove polynomial reads that cache, and each polynomial
+compiles its terms into a suffix-sharing DAG the first time it is evaluated.
+They are built from the listed groves alone, so they share no code with the
+Schur-complement route they are checked against (the grove count that guards
+the listing only decides whether to list). The chromatic side works
 with IntPoly: chromatic polynomial of a multigraph by counting partitions
 into independent sets, the boundary-clique variant, and the precoloring
 polynomial obtained from it by exact division by a falling factorial.

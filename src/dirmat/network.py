@@ -14,7 +14,9 @@ The crossing list is the definition and can be exponential in the size of
 the network. Only `verify.triangulate`'s grove route and the girth of
 `grovepoly.cpintro_compare` read it. The groves are read off the network
 matroid's bases, which its union-find rank oracle finds without the list, and
-the boundary pairs joined by a crossing are read off the blocks.
+the boundary pairs joined by a crossing are read off the blocks. The number
+of groves can be exponential too; it is counted first, in polynomial time,
+and a listing above GROVE_LIMIT groves is refused.
 """
 
 import json
@@ -24,6 +26,7 @@ from .errors import (
     BoundaryEdge,
     BoundaryTooSmall,
     Disconnected,
+    GraphTooLarge,
     LoopOrMultiEdge,
     UnknownLabel,
 )
@@ -431,8 +434,13 @@ class RollbackDSU:
 
 _GROVE_MODES = ("no-crossing", "one-crossing")
 
+# The most groves `groves` lists unless its caller passes a larger limit:
+# about three seconds of basis enumeration, and five times
+# double_sunflower(6)'s 20,760.
+GROVE_LIMIT = 100_000
 
-def groves(net, mode):
+
+def groves(net, mode, limit=GROVE_LIMIT):
     """Groves: forests covering the interior, every tree touching the
     boundary, with no crossing ('no-crossing') or exactly one
     ('one-crossing'). Returns a sorted tuple of frozensets of edge labels.
@@ -440,13 +448,19 @@ def groves(net, mode):
     These are the bases of the network matroid: the bases without `eh` are
     the one-crossing groves, and the bases with `eh` are the no-crossing
     groves plus `eh`. Both modes come from one basis enumeration, cached on
-    the network.
+    the network. Before it starts, the groves are counted, and more than
+    `limit` of them raise GraphTooLarge.
     """
     if mode not in _GROVE_MODES:
         raise BadParameter(f"grove mode must be one of {_GROVE_MODES}")
     key = ("groves", mode)
     if key not in net._cache:
         from .dirichlet import dirichlet_matroid
+        from .electrical import grove_count
+
+        count = grove_count(net)
+        if count > limit:
+            raise GraphTooLarge(f"{count} groves exceeds the grove limit {limit}")
 
         matroid = dirichlet_matroid(net)
         bases = matroid.bases(limit=len(matroid.ground))

@@ -6,7 +6,10 @@ coefficients stored constant term first.
 MultiAffinePoly: multivariate polynomials of degree at most one in each
 variable, over an ordered tuple of variables, stored as (coefficient,
 variable positions) terms. The grove generating polynomials live here, and
-it gives their values, partials and restrictions to lines.
+it gives their values, partials and restrictions to lines. Values and
+partials read the terms compiled once into a DAG that shares equal suffixes
+(sunflower(5)'s basis polynomial: 3,002 terms, 304 nodes, 1,300 edges);
+restrictions to lines still loop over the terms.
 """
 
 from fractions import Fraction
@@ -189,7 +192,7 @@ class MultiAffinePoly:
     vectors every method takes and the order of reported variable pairs.
     """
 
-    __slots__ = ("variables", "terms", "degree", "_masks")
+    __slots__ = ("variables", "terms", "degree", "_dag")
 
     def __init__(self, variables, family, coeffs=None):
         self.variables = tuple(variables)
@@ -204,79 +207,106 @@ class MultiAffinePoly:
                 raise MissingVariable(f"term uses unknown variable {exc.args[0]!r}") from None
             deg = max(deg, len(s))
         self.degree = deg
-        self._masks = None
+        self._dag = None
 
     def is_homogeneous(self):
         return len({len(term) for _, term in self.terms}) <= 1
 
-    def value(self, v):
-        """The value at the point v (a vector in variable order).
+    def dag(self):
+        """The terms as a minimal DAG, compiled on first use: a list of nodes
+        (end, edges), children before parents, the root last.
 
-        Terms that hold a variable which is zero at v are skipped whole: the
-        first call keeps one bitmask of positions per term, which is tested
-        against the mask of v's zeros. Polynomials only ever differentiated
-        (the basis polynomial) keep none.
+        Read as position tuples, the terms form a trie; merging every two
+        nodes whose suffix sets, with coefficients, are equal leaves a
+        zero-suppressed decision diagram (Minato, DAC 1993). A node's `end`
+        is the summed coefficient of the terms that end there, and `edges`
+        lists (position, child) by increasing position; every position below
+        a node is larger than the one on the edge into it. So the node's
+        value is end + sum of x_i * value(child), and the root's value is the
+        polynomial's.
         """
-        if self._masks is None:
-            self._masks = [sum(1 << i for i in term) for _, term in self.terms]
-        zero = 0
-        for i, x in enumerate(v):
-            if not x:
-                zero |= 1 << i
-        total = 0
-        for (c, term), mask in zip(self.terms, self._masks):
-            if mask & zero:
-                continue
-            p = c
-            for i in term:
-                p *= v[i]
-            total += p
-        return total
+        if self._dag is None:
+            nodes = []
+            ids = {}
+
+            def build(group, depth):  # the terms that share a prefix of length depth
+                end = 0
+                heads = {}
+                for item in group:
+                    term = item[1]
+                    if len(term) > depth:
+                        heads.setdefault(term[depth], []).append(item)
+                    else:
+                        end += item[0]
+                key = (end, tuple((i, build(heads[i], depth + 1)) for i in sorted(heads)))
+                if key not in ids:
+                    ids[key] = len(nodes)
+                    nodes.append(key)
+                return ids[key]
+
+            build(self.terms, 0)
+            self._dag = nodes
+        return self._dag
+
+    def value(self, v):
+        """The value at the point v (a vector in variable order): one
+        bottom-up pass over the DAG, skipping edges whose variable is zero."""
+        val = []
+        for end, edges in self.dag():
+            s = end
+            for i, child in edges:
+                x = v[i]
+                if x:
+                    s += x * val[child]
+            val.append(s)
+        return val[-1]
 
     def full(self, v):
         """(value, first partials list, second partials dict keyed (i, j), i < j).
 
-        One pass over the terms at an integer point: each term contributes
-        its product to the value, product-over-the-rest to first partials,
-        and so on; zeros are handled by counting zero factors instead of
-        multiplying them in.
+        The bottom-up pass also keeps each node's gradient over the
+        variables below it, a dict; then a top-down pass carries each node's
+        prefix weight fwd(u), the sum over root paths of their products. A
+        term holding x_i passes one edge (u, i, w), so d_i p is the sum of
+        fwd(u) * value(w) over the edges labelled i, and d_i d_j p (i < j)
+        the sum of fwd(u) * d_j value(w). Any exact number type works, and
+        a zero coordinate needs no special case.
         """
-        value = 0
+        nodes = self.dag()
+        val = []
+        grads = []
+        for end, edges in nodes:
+            s = end
+            g = {}
+            # by decreasing position, so g holds no key i when edge i is reached
+            for i, child in reversed(edges):
+                w = val[child]
+                g[i] = w
+                x = v[i]
+                if x:
+                    s += x * w
+                    for j, d in grads[child].items():
+                        g[j] = g.get(j, 0) + x * d
+            val.append(s)
+            grads.append(g)
+        fwd = [0] * len(nodes)
+        fwd[-1] = 1
         first = [0] * len(self.variables)
-        second = {}
-        for c, term in self.terms:
-            zs = [i for i in term if not v[i]]
-            nz = len(zs)
-            if nz == 0:
-                p = c
-                for i in term:
-                    p *= v[i]
-                value += p
-                for i in term:
-                    first[i] += p // v[i]
-                for a in range(len(term)):
-                    pa = p // v[term[a]]
-                    for b in range(a + 1, len(term)):
-                        key = (term[a], term[b])
-                        second[key] = second.get(key, 0) + pa // v[term[b]]
-            elif nz == 1:
-                z = zs[0]
-                p = c
-                for i in term:
-                    if i != z:
-                        p *= v[i]
-                first[z] += p
-                for i in term:
-                    if i != z:
-                        key = (z, i) if z < i else (i, z)
-                        second[key] = second.get(key, 0) + p // v[i]
-            elif nz == 2:
-                p = c
-                for i in term:
-                    if v[i]:
-                        p *= v[i]
-                second[(zs[0], zs[1])] = second.get((zs[0], zs[1]), 0) + p
-        return value, first, second
+        rows = [{} for _ in self.variables]
+        for u in range(len(nodes) - 1, -1, -1):
+            f = fwd[u]
+            if not f:
+                continue
+            for i, child in nodes[u][1]:
+                x = v[i]
+                if x:
+                    fwd[child] += f * x
+                first[i] += f * val[child]
+                row = rows[i]
+                for j, d in grads[child].items():
+                    row[j] = row.get(j, 0) + f * d
+        second = {(i, j): d for i, row in enumerate(rows) for j, d in row.items()}
+        return val[-1], first, second
 
     def restrict_line(self, base, direction):
         """Coefficients (constant first) of t -> p(base + t*direction).

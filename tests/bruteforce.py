@@ -8,7 +8,11 @@ labelling search), which reuses the package's lift rank and crossing list,
 identified graph plus a scan of the crossing list, and three routes in
 Fraction arithmetic (for the integer kernels): `fraction_response`, the
 Schur complement by Gauss-Jordan elimination over the package's Laplacian,
-and `frac_gcd` and `frac_sturm_chain`, Euclid's remainder sequence. The
+and `frac_gcd` and `frac_sturm_chain`, Euclid's remainder sequence; and
+two term loops (for the suffix-sharing DAG of MultiAffinePoly): `term_value`,
+which skips every term that meets the point's zero mask, and `term_full`,
+the value and partials at an integer point by dividing each term's product
+by its nonzero factors. The
 duality tests also use `sphere_dual`, which reuses the package's face
 tracing, and `relabel_iso`, a vertex bijection between two graphs with the
 same edge labels.
@@ -397,6 +401,74 @@ def frac_sturm_chain(coeffs):
             break
         chain.append([-c for c in r])
     return chain
+
+
+def term_value(poly, v):
+    """A MultiAffinePoly's value at v by a loop over its terms.
+
+    Terms that hold a variable which is zero at v are skipped whole: each
+    term's bitmask of positions is tested against the mask of v's zeros.
+    """
+    masks = [sum(1 << i for i in term) for _, term in poly.terms]
+    zero = 0
+    for i, x in enumerate(v):
+        if not x:
+            zero |= 1 << i
+    total = 0
+    for (c, term), mask in zip(poly.terms, masks):
+        if mask & zero:
+            continue
+        p = c
+        for i in term:
+            p *= v[i]
+        total += p
+    return total
+
+
+def term_full(poly, v):
+    """(value, first partials list, second partials dict keyed (i, j), i < j).
+
+    One pass over the terms at an integer point: each term contributes
+    its product to the value, product-over-the-rest to first partials,
+    and so on; zeros are handled by counting zero factors instead of
+    multiplying them in.
+    """
+    value = 0
+    first = [0] * len(poly.variables)
+    second = {}
+    for c, term in poly.terms:
+        zs = [i for i in term if not v[i]]
+        nz = len(zs)
+        if nz == 0:
+            p = c
+            for i in term:
+                p *= v[i]
+            value += p
+            for i in term:
+                first[i] += p // v[i]
+            for a in range(len(term)):
+                pa = p // v[term[a]]
+                for b in range(a + 1, len(term)):
+                    key = (term[a], term[b])
+                    second[key] = second.get(key, 0) + pa // v[term[b]]
+        elif nz == 1:
+            z = zs[0]
+            p = c
+            for i in term:
+                if i != z:
+                    p *= v[i]
+            first[z] += p
+            for i in term:
+                if i != z:
+                    key = (z, i) if z < i else (i, z)
+                    second[key] = second.get(key, 0) + p // v[i]
+        elif nz == 2:
+            p = c
+            for i in term:
+                if v[i]:
+                    p *= v[i]
+            second[(zs[0], zs[1])] = second.get((zs[0], zs[1]), 0) + p
+    return value, first, second
 
 
 def sphere_dual(mg, rotation):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +227,17 @@ def test_nonpositive_count_is_domain_error(capsys, argv, message, count):
     out, err = capsys.readouterr()
     assert rc == 1 and not out
     assert err == f"error: {message}\n"
+
+
+def test_grove_listing_over_the_limit_exits_1():
+    # 2,663,040 groves: counted and refused, where listing them ran unbounded
+    cmd = [sys.executable, "-m", "dirmat.cli", "electrical", "--gen", "random:12,3,0.4,1",
+           "--identities"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 2663040 groves exceeds the grove limit 100000\n"
 
 
 def test_interlace_exit_codes(capsys):

@@ -12,10 +12,10 @@ from dirmat.grovepoly import (
     precoloring_poly,
 )
 from dirmat.network import add_boundary_clique
-from dirmat.polynomials import IntPoly
+from dirmat.polynomials import IntPoly, MultiAffinePoly
 from dirmat.verify import corpus
 
-from bruteforce import brute_color_count
+from bruteforce import brute_color_count, seeded_random_networks, term_full, term_value
 
 
 def _count(poly):
@@ -87,33 +87,78 @@ def test_multiaffine_partials_and_lines_against_values():
                     assert line(t) == poly.value(point)
 
 
-def _term_loop(poly, vec):
-    total = 0
-    for c, term in poly.terms:
-        p = c
-        for i in term:
-            p *= vec[i]
-        total += p
-    return total
+def _agree_with_term_loops(poly, vec):
+    value, first, second = poly.full(vec)
+    want_value, want_first, want_second = term_full(poly, vec)
+    assert value == want_value == poly.value(vec) == term_value(poly, vec)
+    assert first == want_first
+    n = len(vec)
+    keys = set(second) | set(want_second)
+    assert all(i < j < n for i, j in keys)
+    assert all(second.get(k, 0) == want_second.get(k, 0) for k in keys)
 
 
-def test_value_matches_a_plain_term_loop():
-    # the zero-mask skip of value() against multiplying out every term, on
-    # every grove polynomial of the corpus, at mixed-sign points with 0, 1
-    # and 2 zero coordinates
-    rng = random.Random(12)
-    for net in corpus():
+def _points(rng, n, bound):
+    # mixed-sign integer points with 0, 1 and 2 zero coordinates
+    for zeros in (0, 1, 2):
+        vec = [rng.choice([-1, 1]) * rng.randint(1, bound) for _ in range(n)]
+        for i in rng.sample(range(n), min(zeros, n)):
+            vec[i] = 0
+        yield vec
+
+
+def test_value_and_full_match_the_term_loops():
+    # value() and full() read the suffix-sharing DAG; the term loops they
+    # replaced are the oracles, on every grove polynomial of the corpus and
+    # of 20 seeded random networks
+    rng = random.Random(17)
+    for net in corpus() + seeded_random_networks(20):
         gp = grove_polys(net)
         for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
-            n = len(poly.variables)
-            for zeros in (0, 1, 2):
-                for _ in range(2):
-                    vec = [rng.choice([rng.randint(-50, -1), rng.randint(1, 50)]) for _ in range(n)]
-                    for i in rng.sample(range(n), zeros):
-                        vec[i] = 0
-                    assert poly.value(vec) == _term_loop(poly, vec)
-                    vec[rng.randrange(n)] = Fraction(rng.randint(-9, 9), 7)
-                    assert poly.value(vec) == _term_loop(poly, vec)
+            for vec in _points(rng, len(poly.variables), 60):
+                _agree_with_term_loops(poly, vec)
+                # the DAG takes any exact number; the oracle's value does too
+                vec[rng.randrange(len(vec))] = Fraction(rng.randint(-9, 9), 7)
+                assert poly.value(vec) == term_value(poly, vec)
+            # a grove polynomial is homogeneous of degree r, so its partials
+            # at vec / 7 are those at vec scaled by 7^-r, 7^(1-r) and 7^(2-r)
+            r, seven = poly.degree, Fraction(7)
+            value, first, second = poly.full([x / seven for x in vec])
+            want_value, want_first, want_second = poly.full(vec)
+            assert value * seven**r == want_value
+            assert [d * seven ** (r - 1) for d in first] == want_first
+            assert {k: d * seven ** (r - 2) for k, d in second.items()} == want_second
+
+
+def test_dag_matches_the_term_loops_on_arbitrary_coefficients():
+    # repeated terms, coefficients of either sign (some summing to 0), terms
+    # of mixed degree and the empty term, over random variable orders
+    rng = random.Random(18)
+    for _ in range(200):
+        names = [f"y{k}" for k in range(rng.randint(1, 8))]
+        rng.shuffle(names)
+        family = [set(rng.sample(names, rng.randint(0, len(names)))) for _ in range(rng.randint(0, 12))]
+        family += rng.sample(family, len(family) // 3)
+        coeffs = [rng.randint(-5, 5) for _ in family]
+        poly = MultiAffinePoly(names, family, coeffs)
+        for vec in _points(rng, len(names), 9):
+            _agree_with_term_loops(poly, vec)
+    # hpp_scan_poly's negative control (test_electrical.py checks that the
+    # scan still catches it)
+    poly = MultiAffinePoly(["x1", "x2", "x3", "x4"], [{"x1", "x2"}, {"x3", "x4"}], coeffs=[1, -1])
+    for vec in _points(rng, 4, 9):
+        _agree_with_term_loops(poly, vec)
+
+
+def test_dag_node_counts_pinned():
+    # equal suffixes are merged: a plain trie of sunflower(5)'s one-crossing
+    # groves would keep 4,462 nodes
+    gp = grove_polys(sunflower(5))
+    for name, terms, nodes, edges in [("P1", 2280, 243, 1058), ("PB", 3002, 304, 1300)]:
+        dag = gp[name].dag()
+        assert len(gp[name].terms) == terms
+        assert len(dag) == nodes
+        assert sum(len(out) for _, out in dag) == edges
 
 
 def test_chromatic_poly_matches_brute_force():

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
-from dirmat.errors import BadParameter, BoundaryEdge, BoundaryTooSmall
-from dirmat.families import hexwheel, path, star, sunflower, triangle, wheatstone
+from dirmat.electrical import grove_count
+from dirmat.errors import BadParameter, BoundaryEdge, BoundaryTooSmall, GraphTooLarge
+from dirmat.families import (
+    double_sunflower,
+    hexwheel,
+    parse_generator,
+    path,
+    star,
+    sunflower,
+    triangle,
+    wheatstone,
+)
 from dirmat.grovepoly import grove_polys
 from dirmat.linrep import min_field_size
 from dirmat.network import (
@@ -124,6 +134,26 @@ def test_groves_match_definition():
         brute = brute_groves(net)
         assert groves(net, "no-crossing") == brute.get(0, ()), net.name
         assert groves(net, "one-crossing") == brute.get(1, ()), net.name
+
+
+def test_grove_count_predicts_the_listing():
+    # P_B(1, ..., 1) from one response call, against the listing it guards
+    for net in _small_networks():
+        modes = ("no-crossing", "one-crossing")
+        assert grove_count(net) == sum(len(groves(net, mode)) for mode in modes), net.name
+    for net, count in [(sunflower(5), 3002), (hexwheel(6), 848), (double_sunflower(6), 20760)]:
+        assert grove_count(net) == count
+    assert grove_count(parse_generator("random:12,3,0.4,1")) == 2663040
+
+
+def test_groves_over_the_limit_are_refused_before_listing():
+    net = sunflower(4)
+    with pytest.raises(GraphTooLarge):
+        groves(net, "one-crossing", limit=671)
+    assert ("groves", "one-crossing") not in net._cache
+    assert len(groves(net, "one-crossing", limit=672)) == 480
+    with pytest.raises(GraphTooLarge):
+        groves(parse_generator("random:12,3,0.4,1"), "no-crossing")
 
 
 def test_crossing_pair_graph_matches_crossing_ends():
