@@ -17,6 +17,7 @@ from dirmat.families import (
 )
 from dirmat.grovepoly import grove_polys
 from dirmat.linrep import min_field_size
+from dirmat import network
 from dirmat.network import (
     EH,
     Network,
@@ -146,12 +147,15 @@ def test_grove_count_predicts_the_listing():
     assert grove_count(parse_generator("random:12,3,0.4,1")) == 2663040
 
 
-def test_groves_over_the_limit_are_refused_before_listing():
+def test_groves_over_the_limit_are_refused_before_listing(monkeypatch):
     net = sunflower(4)
+    monkeypatch.setattr(network, "GROVE_LIMIT", 671)
     with pytest.raises(GraphTooLarge):
-        groves(net, "one-crossing", limit=671)
+        groves(net, "one-crossing")
     assert ("groves", "one-crossing") not in net._cache
-    assert len(groves(net, "one-crossing", limit=672)) == 480
+    monkeypatch.setattr(network, "GROVE_LIMIT", 672)
+    assert len(groves(net, "one-crossing")) == 480
+    monkeypatch.undo()
     with pytest.raises(GraphTooLarge):
         groves(parse_generator("random:12,3,0.4,1"), "no-crossing")
 
