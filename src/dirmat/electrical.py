@@ -1,13 +1,17 @@
 """Weighted Laplacians, response matrices, and stability evidence.
 
 The response matrix is an exact Schur complement, computed in integers by
-fraction-free elimination once the point is cleared of denominators. The
-sweeps (grove identities, Rayleigh differences, proper position,
-monotonicity, the lower bound) evaluate the grove polynomials that
-grovepoly.grove_polys caches, one MultiAffinePoly each, at seeded rational
-points; the Rayleigh difference, the mixed form E_ij and the Wronskian are
-read off one value-and-partials pass over each polynomial's suffix-sharing
-DAG per point, and line restrictions read the same polynomials' terms.
+fraction-free elimination once the point is cleared of denominators, and
+kept in integers: S = scale * Lambda, with Fractions built from it only for
+reports. response is the one Schur entry point. The sweeps (grove
+identities, Rayleigh differences, proper position, monotonicity, the lower
+bound) evaluate the grove polynomials that grovepoly.grove_polys caches, one
+MultiAffinePoly each, at seeded rational points. The identity checks read
+P0 and every pair polynomial off one pass over their shared node table and
+compare both sides of each identity in integers; the Rayleigh difference,
+the mixed form E_ij and the Wronskian are read off one value-and-partials
+pass over each polynomial's suffix-sharing DAG per point, and line
+restrictions read the same polynomials' terms.
 Points are cleared to integers first: the grove polynomials are homogeneous,
 so scaling by the positive lcm of the denominators never changes a sign or
 an identity, and integer arithmetic is much faster than Fractions. Within
@@ -29,7 +33,7 @@ from .errors import (
     ZeroRestriction,
 )
 from .grovepoly import grove_polys
-from .polynomials import IntPoly
+from .polynomials import IntPoly, dag_values
 from .sturm import DEFAULT_WIDTH, interlace_check
 
 
@@ -50,20 +54,42 @@ class WeightedLaplacian:
         self.D = D
 
 class ResponseMatrix:
-    __slots__ = ("boundary_order", "entries", "det_interior")
+    """The response matrix Lambda at a point, kept in integers.
 
-    def __init__(self, boundary_order, entries, det_interior):
+    S is the integer matrix scale * Lambda, over boundary_order, with scale
+    a nonzero integer, and det D = det / det_scale. The exact checks compare
+    these integers; entries, det_interior, trace() and indexing give
+    Fractions, for reports.
+    """
+
+    __slots__ = ("boundary_order", "S", "scale", "det", "det_scale")
+
+    def __init__(self, boundary_order, S, scale, det, det_scale):
         self.boundary_order = boundary_order
-        self.entries = entries
-        self.det_interior = det_interior
+        self.S = S
+        self.scale = scale
+        self.det = det
+        self.det_scale = det_scale
+
+    @property
+    def entries(self):
+        return [[Fraction(v, self.scale) for v in row] for row in self.S]
+
+    @property
+    def det_interior(self):
+        return Fraction(self.det, self.det_scale)
+
+    def trace_S(self):
+        """The trace of S, scale * tr Lambda, an integer."""
+        return sum(self.S[i][i] for i in range(len(self.S)))
 
     def trace(self):
-        return sum(self.entries[i][i] for i in range(len(self.boundary_order)))
+        return Fraction(self.trace_S(), self.scale)
 
     def __getitem__(self, pair):
         i = self.boundary_order.index(pair[0])
         j = self.boundary_order.index(pair[1])
-        return self.entries[i][j]
+        return Fraction(self.S[i][j], self.scale)
 
 
 def laplacian(net, x):
@@ -136,7 +162,8 @@ def response(net, x):
 
     The point is cleared to integers first: with ints = c * x, the Laplacian
     at ints is c times the one at x, so the Schur complement is computed in
-    integers and divided by c at the end.
+    integers, S = p * Lambda(ints) = p * c * Lambda(x), and kept so; det D
+    at x is the integer det D(ints) over c^k.
     """
     ints, c = scale_to_integers(x)
     lap = laplacian(net, ints)
@@ -157,9 +184,7 @@ def response(net, x):
         for j in range(i):
             if S[i][j] != S[j][i]:
                 raise ConsistencyError("response matrix is not symmetric")
-    scale = p * c
-    entries = [[Fraction(v, scale) for v in row] for row in S]
-    return ResponseMatrix(lap.boundary_order, entries, Fraction(det, c**k))
+    return ResponseMatrix(lap.boundary_order, S, p * c, det, c**k)
 
 
 def grove_count(net):
@@ -168,10 +193,14 @@ def grove_count(net):
     One response call at the all-ones point, since P0 = det D (Kirchhoff)
     and 2 P1 = tr Lambda * P0 (Kenyon & Wilson, Trans. AMS 363, 2011). D is
     nonsingular there because a network is connected. The count only
-    guards the listing in network.groves; no check compares it.
+    guards the listing in network.groves; no check compares it. A count
+    that is not an integer raises ConsistencyError.
     """
     lam = response(net, {e: 1 for e in net.edge_order})
-    return int(lam.det_interior * (1 + lam.trace() / 2))
+    count, rest = divmod(lam.det * (2 * lam.scale + lam.trace_S()), 2 * lam.scale * lam.det_scale)
+    if rest:
+        raise ConsistencyError("the grove count from the response is not an integer")
+    return count
 
 
 # -- sampled checks of the grove polynomials --------------------------------
@@ -212,20 +241,34 @@ def _point_identities(net, gp, ints):
     P_ij} for each boundary pair a crossing joins, and the pairs no crossing
     joins whose Lambda_ij is not 0). The response's symmetry and zero row
     sums are checked inside response().
+
+    The grove side is one pass over the node table of P0 and the pair
+    polynomials, with P1 the sum of the pairs; the Schur side is response's
+    integer S = scale * Lambda. So every identity is compared in integers,
+    with both of its sides multiplied by the scale.
     """
     vec = [ints[e] for e in net.edge_order]
-    p0 = gp["P0"].value(vec)
+    nodes, roots = gp["table"]
+    val = dag_values(nodes, vec)
+    p0 = val[roots[0]]
     if p0 == 0:
         return None
     lam = response(net, ints)
-    pairs = {pair: -lam[pair] * p0 == poly.value(vec) for pair, poly in gp["pairs"].items()}
+    S, scale = lam.S, lam.scale
+    pos = {b: i for i, b in enumerate(lam.boundary_order)}
+    pairs = {}
+    p1 = 0
+    for pair, root in zip(gp["pairs"], roots[1:]):
+        value = val[root]
+        p1 += value
+        pairs[pair] = -S[pos[pair[0]]][pos[pair[1]]] * p0 == value * scale
     stray = [
-        pair
-        for pair in combinations(lam.boundary_order, 2)
-        if pair not in gp["pairs"] and lam[pair] != 0
+        (a, b)
+        for (i, a), (j, b) in combinations(enumerate(lam.boundary_order), 2)
+        if S[i][j] and (a, b) not in gp["pairs"]
     ]
-    trace_ok = lam.trace() * p0 == 2 * gp["P1"].value(vec)
-    return lam.det_interior == p0, trace_ok, pairs, stray
+    trace_ok = lam.trace_S() * p0 == 2 * p1 * scale
+    return lam.det == p0 * lam.det_scale, trace_ok, pairs, stray
 
 
 def identity_sweep(net, trials=200, seed=0):
@@ -236,6 +279,8 @@ def identity_sweep(net, trials=200, seed=0):
     crossing joins, Lambda_ij = 0 for every other pair, and trace(Lambda) *
     P0 = 2 P1. Singular draws are skipped and resampled.
     """
+    if trials < 1:
+        raise BadParameter("need at least one trial")
     rng = random.Random(f"identities:{seed}")
     gp = grove_polys(net)
     failures = []
@@ -458,6 +503,8 @@ def interlacing(net, base, direction, width=DEFAULT_WIDTH):
 
 def interlacing_sweep(net, lines=20, seed=0, width=DEFAULT_WIDTH):
     """Seeded sweep of positive-direction lines; every one must interlace."""
+    if lines < 1:
+        raise BadParameter("need at least one line")
     rng = random.Random(f"interlace:{net.name}:{seed}")
     failures = []
     for _ in range(lines):

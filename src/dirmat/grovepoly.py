@@ -5,6 +5,9 @@ per edge, and one more, eh, in the basis polynomial). grove_polys builds them
 once per network and caches them; every evaluation, partial and line
 restriction of a grove polynomial reads that cache, and each polynomial
 compiles its terms into a suffix-sharing DAG the first time it is evaluated.
+Next to them it caches one node table shared by P0 and the pair
+polynomials, from which a single pass gives all their values at a point
+(the identity checks read P1 there as the sum of the pairs).
 They are built from the listed groves alone, so they share no code with the
 Schur-complement route they are checked against (the grove count that guards
 the listing only decides whether to list). The chromatic side works
@@ -15,7 +18,7 @@ polynomial obtained from it by exact division by a falling factorial.
 
 from .errors import BadParameter, GraphTooLarge
 from .network import EH, add_boundary_clique, grove_crossing, groves
-from .polynomials import IntPoly, MultiAffinePoly
+from .polynomials import IntPoly, MultiAffinePoly, compile_dag
 
 
 def grove_polys(net):
@@ -27,10 +30,13 @@ def grove_polys(net):
     boundary pair (i, j), as a sorted tuple, to the generating polynomial of
     the one-crossing groves whose crossing joins i and j. Pairs never hit by
     a crossing are absent. P0, P1 and the pair polynomials are over
-    edge_order.
+    edge_order. "table" is compile_dag's (nodes, roots) for P0 and the pair
+    polynomials: roots[0] is P0's and roots[1:] the pairs', in the order of
+    "pairs".
 
     The bucket decomposition is checked on the spot: the pair polynomials'
-    terms, taken together, must be P1's. Results are cached on the network.
+    terms, taken together, must be P1's, so P1's value is exactly the sum of
+    the pairs' values. Results are cached on the network.
     """
     hit = net._cache.get("grove_polys")
     if hit is not None:
@@ -46,11 +52,13 @@ def grove_polys(net):
     if sorted(t for poly in pairs.values() for t in poly.terms) != sorted(p1.terms):
         raise BadParameter("pair buckets do not add up to the one-crossing count")
     basis = list(ones) + [fs | {EH} for fs in none]
+    p0 = MultiAffinePoly(edges, none)
     out = {
-        "P0": MultiAffinePoly(edges, none),
+        "P0": p0,
         "P1": p1,
         "PB": MultiAffinePoly(edges + (EH,), basis),
         "pairs": pairs,
+        "table": compile_dag([p0.terms] + [poly.terms for poly in pairs.values()]),
     }
     net._cache["grove_polys"] = out
     return out

@@ -10,6 +10,11 @@ it gives their values, partials and restrictions to lines. Values and
 partials read the terms compiled once into a DAG that shares equal suffixes
 (sunflower(5)'s basis polynomial: 3,002 terms, 304 nodes, 1,300 edges);
 restrictions to lines still loop over the terms.
+
+compile_dag is the one DAG compiler: it takes several term lists and
+returns one hash-consed node table with a root per polynomial, so that
+dag_values gives all their values in one bottom-up pass. A polynomial's own
+DAG is its one-root case.
 """
 
 from fractions import Fraction
@@ -182,6 +187,58 @@ class IntPoly:
         return f"IntPoly({self.pretty()})"
 
 
+def compile_dag(term_lists):
+    """Several polynomials' terms as one minimal DAG: (nodes, roots).
+
+    Each list holds (coefficient, increasing position tuple) terms. Read as
+    position tuples, a list's terms form a trie; merging every two nodes
+    whose suffix sets, with coefficients, are equal leaves a zero-suppressed
+    decision diagram (Minato, DAC 1993), and one hash-consing table for all
+    the lists lets the polynomials share their equal suffixes too. A node is
+    (end, edges): `end` is the summed coefficient of the terms that end
+    there, and `edges` lists (position, child) by increasing position, every
+    position below a node being larger than the one on the edge into it. So
+    the node's value is end + sum of x_i * value(child). Nodes come children
+    before parents, and roots[k] is the node whose value is the k-th
+    polynomial's; with one list every node lies below the root, so the root
+    is the last node.
+    """
+    nodes = []
+    ids = {}
+
+    def build(group, depth):  # the terms that share a prefix of length depth
+        end = 0
+        heads = {}
+        for item in group:
+            term = item[1]
+            if len(term) > depth:
+                heads.setdefault(term[depth], []).append(item)
+            else:
+                end += item[0]
+        key = (end, tuple((i, build(heads[i], depth + 1)) for i in sorted(heads)))
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(key)
+        return ids[key]
+
+    roots = [build(terms, 0) for terms in term_lists]
+    return nodes, roots
+
+
+def dag_values(nodes, v):
+    """Every node's value at the point v (a vector in variable order): one
+    bottom-up pass, skipping edges whose variable is zero."""
+    val = []
+    for end, edges in nodes:
+        s = end
+        for i, child in edges:
+            x = v[i]
+            if x:
+                s += x * val[child]
+        val.append(s)
+    return val
+
+
 class MultiAffinePoly:
     """Multiaffine polynomial over an ordered tuple of variables.
 
@@ -213,53 +270,15 @@ class MultiAffinePoly:
         return len({len(term) for _, term in self.terms}) <= 1
 
     def dag(self):
-        """The terms as a minimal DAG, compiled on first use: a list of nodes
-        (end, edges), children before parents, the root last.
-
-        Read as position tuples, the terms form a trie; merging every two
-        nodes whose suffix sets, with coefficients, are equal leaves a
-        zero-suppressed decision diagram (Minato, DAC 1993). A node's `end`
-        is the summed coefficient of the terms that end there, and `edges`
-        lists (position, child) by increasing position; every position below
-        a node is larger than the one on the edge into it. So the node's
-        value is end + sum of x_i * value(child), and the root's value is the
-        polynomial's.
-        """
+        """The terms compiled into a node table on first use, the root last:
+        compile_dag's one-root case."""
         if self._dag is None:
-            nodes = []
-            ids = {}
-
-            def build(group, depth):  # the terms that share a prefix of length depth
-                end = 0
-                heads = {}
-                for item in group:
-                    term = item[1]
-                    if len(term) > depth:
-                        heads.setdefault(term[depth], []).append(item)
-                    else:
-                        end += item[0]
-                key = (end, tuple((i, build(heads[i], depth + 1)) for i in sorted(heads)))
-                if key not in ids:
-                    ids[key] = len(nodes)
-                    nodes.append(key)
-                return ids[key]
-
-            build(self.terms, 0)
-            self._dag = nodes
+            self._dag = compile_dag([self.terms])[0]
         return self._dag
 
     def value(self, v):
-        """The value at the point v (a vector in variable order): one
-        bottom-up pass over the DAG, skipping edges whose variable is zero."""
-        val = []
-        for end, edges in self.dag():
-            s = end
-            for i, child in edges:
-                x = v[i]
-                if x:
-                    s += x * val[child]
-            val.append(s)
-        return val[-1]
+        """The value at the point v (a vector in variable order)."""
+        return dag_values(self.dag(), v)[-1]
 
     def full(self, v):
         """(value, first partials list, second partials dict keyed (i, j), i < j).

@@ -12,7 +12,9 @@ and `frac_gcd` and `frac_sturm_chain`, Euclid's remainder sequence; and
 two term loops (for the suffix-sharing DAG of MultiAffinePoly): `term_value`,
 which skips every term that meets the point's zero mask, and `term_full`,
 the value and partials at an integer point by dividing each term's product
-by its nonzero factors. The
+by its nonzero factors; and `fraction_point_identities` (for the identity
+checks on one shared node table in integers), which evaluates P1 and each
+pair polynomial on its own and compares the response's Fraction entries. The
 duality tests also use `sphere_dual`, which reuses the package's face
 tracing, and `relabel_iso`, a vertex bijection between two graphs with the
 same edge labels.
@@ -20,6 +22,8 @@ same edge labels.
 
 from fractions import Fraction
 from itertools import combinations
+
+from dirmat import electrical
 
 from dirmat.circular import _trace_faces
 from dirmat.dirichlet import _check_cocircuit, _lift_engine
@@ -109,6 +113,16 @@ def seeded_random_networks(count):
             pass
         seed += 1
     return nets
+
+
+def integer_points(rng, n, bound):
+    """Three mixed-sign integer points of length n, entries within bound,
+    with 0, 1 and 2 zero coordinates."""
+    for zeros in (0, 1, 2):
+        vec = [rng.choice([-1, 1]) * rng.randint(1, bound) for _ in range(n)]
+        for i in rng.sample(range(n), min(zeros, n)):
+            vec[i] = 0
+        yield vec
 
 
 def brute_independent(net, subset):
@@ -469,6 +483,31 @@ def term_full(poly, v):
                     p *= v[i]
             second[(zs[0], zs[1])] = second.get((zs[0], zs[1]), 0) + p
     return value, first, second
+
+
+def fraction_point_identities(net, gp, ints):
+    """The response-vs-grove checks at one integer point, in Fractions; None
+    if P0 = 0 there.
+
+    Returns (det D = P0, trace(Lambda) * P0 = 2 P1, {pair: -Lambda_ij * P0 =
+    P_ij} for each boundary pair a crossing joins, and the pairs no crossing
+    joins whose Lambda_ij is not 0). P0, P1 and every pair polynomial are
+    evaluated separately; the response is read through electrical.response,
+    so that a test's patch of it reaches this route too.
+    """
+    vec = [ints[e] for e in net.edge_order]
+    p0 = gp["P0"].value(vec)
+    if p0 == 0:
+        return None
+    lam = electrical.response(net, ints)
+    pairs = {pair: -lam[pair] * p0 == poly.value(vec) for pair, poly in gp["pairs"].items()}
+    stray = [
+        pair
+        for pair in combinations(lam.boundary_order, 2)
+        if pair not in gp["pairs"] and lam[pair] != 0
+    ]
+    trace_ok = lam.trace() * p0 == 2 * gp["P1"].value(vec)
+    return lam.det_interior == p0, trace_ok, pairs, stray
 
 
 def sphere_dual(mg, rotation):

@@ -219,7 +219,8 @@ def test_oversized_generator_hits_limit(capsys):
     (["electrical", "--gen", "star:3", "--hpp-sample"], "need at least one trial"),
     (["electrical", "--gen", "star:3", "--bound-sample"], "need at least one trial"),
     (["poly", "--hexwheel-scan"], "the scan starts at m = 3"),
-], ids=["hpp-sample", "bound-sample", "hexwheel-scan"])
+    (["electrical", "--gen", "wheatstone", "--identities", "--limit"], "need at least one trial"),
+], ids=["hpp-sample", "bound-sample", "hexwheel-scan", "identities"])
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_nonpositive_count_is_domain_error(capsys, argv, message, count):
     # a count of 0 is an option given, not one left out
@@ -297,10 +298,26 @@ GOLDEN = [
       "c1=1,c2=-3,c3=0,c4=5/2,c5=2,p1=-1,p2=4,p3=1/3,p4=0,p5=6",
       "c1=1,c2=2,c3=3,c4=1/2,c5=5,p1=7,p2=1,p3=2/3,p4=4,p5=3/2"],
      "2c3e78f5c7b304e02798c7dd611bae3ac202203d85df25d740cfffcbd799c123"),
+    # identity points whose 15 pair polynomials share one node table with P0
+    (["electrical", "--gen", "hexwheel:6", "--identities", "--limit", "10"],
+     "7a242efba038a6da4b6b97fa53595bf2255f70a01fe32a4aad0e28d9c746a967"),
+]
+
+# the same for plain-text reports, which the commands print without --json
+GOLDEN_TEXT = [
+    (["electrical", "--gen", "hexwheel:6", "--identities", "--limit", "10"],
+     "c11d91fcc0e77cd273827660c42f4d600c90db4e3d58d940e771c8a52d7d2481"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[2:4]) for a, _ in GOLDEN])
 def test_electrical_json_bytes_are_pinned(capsys, argv, digest):
     out = run_ok(capsys, argv + ["--json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_TEXT,
+                         ids=[" ".join(a[2:4]) for a, _ in GOLDEN_TEXT])
+def test_text_report_bytes_are_pinned(capsys, argv, digest):
+    out = run_ok(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

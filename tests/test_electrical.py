@@ -11,18 +11,25 @@ from dirmat.electrical import (
     hpp_scan_poly,
     identity_sweep,
     interlacing,
+    interlacing_sweep,
     laplacian,
     monotonicity_and_bound,
     proper_position_checks,
     response,
 )
-from dirmat.errors import SingularInterior
+from dirmat.errors import BadParameter, SingularInterior
 from dirmat.families import hexwheel, path, star, triangle
+from dirmat.grovepoly import grove_polys
 from dirmat.network import EH, Network, groves
 from dirmat.polynomials import MultiAffinePoly
 from dirmat.verify import corpus
 
-from bruteforce import fraction_response, seeded_random_networks
+from bruteforce import (
+    fraction_point_identities,
+    fraction_response,
+    integer_points,
+    seeded_random_networks,
+)
 
 
 def test_response_closed_form_path3():
@@ -61,6 +68,15 @@ def test_identity_sweep_small():
         assert rep["points"] == 40
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sweeps_refuse_a_nonpositive_count(count):
+    # a sweep of no points or lines would report all_ok on nothing
+    with pytest.raises(BadParameter, match="need at least one trial"):
+        identity_sweep(triangle(), trials=count)
+    with pytest.raises(BadParameter, match="need at least one line"):
+        interlacing_sweep(triangle(), lines=count)
+
+
 def test_grove_identities_at_a_point():
     net = triangle()
     rep = grove_identities(net, {e: 1 for e in net.edge_order})
@@ -84,20 +100,66 @@ def test_grove_identities_check_pairs_no_crossing_joins(monkeypatch):
     assert rep["all_ok"] and set(rep["pairs"]) == {("a", "b"), ("b", "c")}
     real = electrical.response
 
+    def skew(u, v):
+        # Lambda_uv and Lambda_vu go up by 1, after response() has checked
+        # symmetry and row sums
+        def skewed(net, x):
+            lam = real(net, x)
+            i, j = lam.boundary_order.index(u), lam.boundary_order.index(v)
+            lam.S[i][j] += lam.scale
+            if i != j:
+                lam.S[j][i] += lam.scale
+            return lam
+
+        return skewed
+
+    # a pair no crossing joins, a pair a crossing joins, a diagonal entry
+    for entry, trace_ok, bad_pair, failure in [
+        (("a", "c"), True, None, ("offdiag-zero", ("a", "c"))),
+        (("a", "b"), True, ("a", "b"), ("offdiag", ("a", "b"))),
+        (("b", "b"), False, None, ("trace",)),
+    ]:
+        monkeypatch.setattr(electrical, "response", skew(*entry))
+        rep = grove_identities(net, x)
+        assert rep["det_ok"] and rep["trace_ok"] == trace_ok
+        assert rep["pairs"] == {pair: pair != bad_pair for pair in [("a", "b"), ("b", "c")]}
+        assert not rep["all_ok"]
+        sweep = identity_sweep(net, trials=3, seed=0)
+        assert [f[:-1] for f in sweep["failures"]] == [failure] * 3
+
+
+def test_point_identities_match_the_fraction_route(monkeypatch):
+    # one pass over the node table P0 shares with the pair polynomials,
+    # compared in integers, against every polynomial evaluated on its own and
+    # compared in Fractions: on the corpus and 20 seeded random networks, at
+    # mixed-sign integer points with 0, 1 and 2 zeros, as response gives it
+    # and with one off-diagonal and one diagonal entry skewed
+    rng = random.Random("identity-differential")
+    real = electrical.response
+
     def skewed(net, x):
-        # response() has already checked symmetry and row sums
         lam = real(net, x)
-        i, j = lam.boundary_order.index("a"), lam.boundary_order.index("c")
-        lam.entries[i][j] += 1
-        lam.entries[j][i] += 1
+        lam.S[0][1] += lam.scale
+        lam.S[1][0] += lam.scale
+        lam.S[1][1] -= 2 * lam.scale
         return lam
 
-    monkeypatch.setattr(electrical, "response", skewed)
-    rep = grove_identities(net, x)
-    assert rep["det_ok"] and rep["trace_ok"] and all(rep["pairs"].values())
-    assert not rep["all_ok"]
-    sweep = identity_sweep(net, trials=3, seed=0)
-    assert [f[:2] for f in sweep["failures"]] == [("offdiag-zero", ("a", "c"))] * 3
+    outcomes = set()
+    for net in corpus() + seeded_random_networks(20):
+        gp = grove_polys(net)
+        for patch in (real, skewed):
+            monkeypatch.setattr(electrical, "response", patch)
+            for _ in range(4):
+                for vec in integer_points(rng, len(net.edge_order), 3):
+                    ints = dict(zip(net.edge_order, vec))
+                    got = electrical._point_identities(net, gp, ints)
+                    assert got == fraction_point_identities(net, gp, ints), net.name
+                    if got is not None:
+                        got = (got[1], all(got[2].values()), not got[3])
+                    outcomes.add(got)
+    # P0 = 0 (both return None), the identities holding, and a skew caught
+    # on each side: the trace, a pair a crossing joins, a pair none joins
+    assert {None, (True, True, True), (False, True, False), (False, False, True)} <= outcomes
 
 
 def test_delta_eval_pinned_path3():

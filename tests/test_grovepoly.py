@@ -12,10 +12,16 @@ from dirmat.grovepoly import (
     precoloring_poly,
 )
 from dirmat.network import add_boundary_clique
-from dirmat.polynomials import IntPoly, MultiAffinePoly
+from dirmat.polynomials import IntPoly, MultiAffinePoly, dag_values
 from dirmat.verify import corpus
 
-from bruteforce import brute_color_count, seeded_random_networks, term_full, term_value
+from bruteforce import (
+    brute_color_count,
+    integer_points,
+    seeded_random_networks,
+    term_full,
+    term_value,
+)
 
 
 def _count(poly):
@@ -98,24 +104,22 @@ def _agree_with_term_loops(poly, vec):
     assert all(second.get(k, 0) == want_second.get(k, 0) for k in keys)
 
 
-def _points(rng, n, bound):
-    # mixed-sign integer points with 0, 1 and 2 zero coordinates
-    for zeros in (0, 1, 2):
-        vec = [rng.choice([-1, 1]) * rng.randint(1, bound) for _ in range(n)]
-        for i in rng.sample(range(n), min(zeros, n)):
-            vec[i] = 0
-        yield vec
-
-
 def test_value_and_full_match_the_term_loops():
-    # value() and full() read the suffix-sharing DAG; the term loops they
-    # replaced are the oracles, on every grove polynomial of the corpus and
-    # of 20 seeded random networks
+    # value() and full() read the suffix-sharing DAG, and the identity
+    # checks read every root of the node table P0 shares with the pair
+    # polynomials; the term loops are the oracles, on every grove polynomial
+    # of the corpus and of 20 seeded random networks
     rng = random.Random(17)
     for net in corpus() + seeded_random_networks(20):
         gp = grove_polys(net)
+        nodes, roots = gp["table"]
+        shared = [gp["P0"], *gp["pairs"].values()]
+        assert len(roots) == len(shared)
+        for vec in integer_points(rng, len(net.edge_order), 60):
+            val = dag_values(nodes, vec)
+            assert [val[r] for r in roots] == [term_value(poly, vec) for poly in shared]
         for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
-            for vec in _points(rng, len(poly.variables), 60):
+            for vec in integer_points(rng, len(poly.variables), 60):
                 _agree_with_term_loops(poly, vec)
                 # the DAG takes any exact number; the oracle's value does too
                 vec[rng.randrange(len(vec))] = Fraction(rng.randint(-9, 9), 7)
@@ -141,12 +145,12 @@ def test_dag_matches_the_term_loops_on_arbitrary_coefficients():
         family += rng.sample(family, len(family) // 3)
         coeffs = [rng.randint(-5, 5) for _ in family]
         poly = MultiAffinePoly(names, family, coeffs)
-        for vec in _points(rng, len(names), 9):
+        for vec in integer_points(rng, len(names), 9):
             _agree_with_term_loops(poly, vec)
     # hpp_scan_poly's negative control (test_electrical.py checks that the
     # scan still catches it)
     poly = MultiAffinePoly(["x1", "x2", "x3", "x4"], [{"x1", "x2"}, {"x3", "x4"}], coeffs=[1, -1])
-    for vec in _points(rng, 4, 9):
+    for vec in integer_points(rng, 4, 9):
         _agree_with_term_loops(poly, vec)
 
 
@@ -159,6 +163,14 @@ def test_dag_node_counts_pinned():
         assert len(gp[name].terms) == terms
         assert len(dag) == nodes
         assert sum(len(out) for _, out in dag) == edges
+    # the table P0 shares with the pair polynomials: apart, their DAGs hold
+    # 939 nodes and 2,281 edges on sunflower(5), and 832 and 1,471 on
+    # hexwheel(6)
+    for net, polys, nodes, edges in [(sunflower(5), 11, 566, 1544), (hexwheel(6), 16, 526, 1094)]:
+        table, roots = grove_polys(net)["table"]
+        assert len(roots) == polys
+        assert len(table) == nodes
+        assert sum(len(out) for _, out in table) == edges
 
 
 def test_chromatic_poly_matches_brute_force():

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
+from dirmat import electrical
 from dirmat.electrical import grove_count
-from dirmat.errors import BadParameter, BoundaryEdge, BoundaryTooSmall, GraphTooLarge
+from dirmat.errors import (
+    BadParameter,
+    BoundaryEdge,
+    BoundaryTooSmall,
+    ConsistencyError,
+    GraphTooLarge,
+)
 from dirmat.families import (
     double_sunflower,
     hexwheel,
@@ -145,6 +152,21 @@ def test_grove_count_predicts_the_listing():
     for net, count in [(sunflower(5), 3002), (hexwheel(6), 848), (double_sunflower(6), 20760)]:
         assert grove_count(net) == count
     assert grove_count(parse_generator("random:12,3,0.4,1")) == 2663040
+
+
+def test_grove_count_refuses_a_count_that_is_not_an_integer(monkeypatch):
+    # star(3) has det D = 3 at the all-ones point, so one more in the trace
+    # of Lambda makes det D * (1 + tr Lambda / 2) = 15/2 groves
+    real = electrical.response
+
+    def odd_trace(net, x):
+        lam = real(net, x)
+        lam.S[0][0] += lam.scale
+        return lam
+
+    monkeypatch.setattr(electrical, "response", odd_trace)
+    with pytest.raises(ConsistencyError):
+        grove_count(star(3))
 
 
 def test_groves_over_the_limit_are_refused_before_listing(monkeypatch):
