@@ -11,7 +11,9 @@ boundary-identified graph.
 
 The machinery never distinguishes a drawing from its mirror image, so
 boundary orders are matched up to rotation and reversal, and duals are
-likewise produced up to that ambiguity.
+likewise produced up to that ambiguity. A drawing is fixed at construction;
+the matroid and the dual network are kept on it (network.derived), the
+dual's matroid on the dual network.
 """
 
 from .dirichlet import _check_cocircuit, dirichlet_matroid, network_cocircuits
@@ -27,12 +29,9 @@ from .errors import (
     NotPlanar,
 )
 from .matroid import Matroid, union_find
-from .network import EH, Network
+from .network import EH, Network, derived
 
 INSULATOR_LIMIT = 20
-
-# what a circular network caches of its drawing (dropped when it is redrawn)
-_DUALITY_KEYS = ("duality:matroid", "duality:dual_network", "duality:dual_matroid")
 
 
 # -- face tracing ----------------------------------------------------------
@@ -174,8 +173,6 @@ class CircularNetwork(Network):
         return _tail(self.edges, dart)
 
     def _embed(self):
-        for key in _DUALITY_KEYS:
-            self._cache.pop(key, None)
         faces = _trace_faces(self.edges, self.rotation)
         nf = len(faces)
         need = 2 - len(self.vertices) + len(self.edges)
@@ -262,30 +259,21 @@ class CircularNetwork(Network):
         )
 
 
-class DualNetwork(CircularNetwork):
-    """Dual of a circular network; carries the edge bijection and the name
-    of the network it came from."""
-
-    source_name = None
-    edge_bijection = None
-
-
 def validate_embedding(raw, rotation=None, boundary_order=None):
-    """Check the disk-embedding contract and hand back a CircularNetwork.
+    """Check the disk-embedding contract and hand back a new CircularNetwork.
 
-    Accepts a CircularNetwork (re-validated in place) or a plain Network
-    plus rotation and boundary-order data. Degree conditions are checked
-    before anything else, so degree violations surface even when no
-    embedding data is supplied.
+    Accepts a plain Network plus rotation and boundary-order data, or a
+    CircularNetwork alone, which is built afresh from its own rotation and
+    boundary order; a drawing is never changed in place. Degree conditions
+    are checked before anything else, so degree violations surface even when
+    no embedding data is supplied.
     """
     if (
         isinstance(raw, CircularNetwork)
         and rotation is None
         and boundary_order is None
     ):
-        _check_degrees(raw)
-        raw._embed()
-        return raw
+        rotation, boundary_order = raw.rotation, raw.boundary_order
     if not isinstance(raw, Network):
         raise BadParameter("validate_embedding wants a network")
     _check_degrees(raw)
@@ -318,8 +306,8 @@ def dual_network(cnet):
 
     One vertex per region of the drawing (inner faces plus rim arcs), the
     rim arcs forming the new boundary; each edge joins the two regions its
-    primal twin separates and keeps its label, so the recorded bijection is
-    the identity on labels.
+    primal twin separates and keeps its label, so the dual's labels are the
+    primal's.
     """
     cn = _as_circular(cnet)
     triples = []
@@ -346,7 +334,7 @@ def dual_network(cnet):
         nm: tuple(lbl for lbl, _ in cn._region_walks[nm])
         for nm in cn.region_names
     }
-    dual = DualNetwork(
+    return CircularNetwork(
         list(cn.region_names),
         list(cn.arc_names),
         triples,
@@ -354,9 +342,6 @@ def dual_network(cnet):
         boundary_order=list(cn.arc_names),
         name=f"{cn.name}*",
     )
-    dual.source_name = cn.name
-    dual.edge_bijection = {e: e for e in cn.edge_order}
-    return dual
 
 
 # -- insulators --------------------------------------------------------------
@@ -375,13 +360,13 @@ def _rim_test(dual, order):
     return lambda mask: run(mask)[1] == 1
 
 
-def insulators(cnet, exhaustive=None):
+def insulators(cnet):
     """Minimal edge sets whose dual twins join every rim region.
 
     Computed as the cocircuits of the network matroid through the extra
     element, with that element dropped. Every answer is re-checked against
-    the connection reading in the dual network, and for small networks the
-    whole family is re-derived from that reading by brute force.
+    the connection reading in the dual network, and for networks of at most
+    16 edges the whole family is re-derived from that reading by brute force.
     """
     cn = _as_circular(cnet)
     n = len(cn.edge_order)
@@ -389,7 +374,7 @@ def insulators(cnet, exhaustive=None):
         raise GroundTooLarge(
             f"insulator scan over {n} edges (limit {INSULATOR_LIMIT})"
         )
-    dual = _derived(cn, "duality:dual_network")
+    dual = derived(cn, "dual_network", dual_network)
     cocs = network_cocircuits(cn)
     found = sorted(
         (z - {EH} for z in cocs if EH in z), key=lambda z: (len(z), sorted(z))
@@ -408,9 +393,7 @@ def insulators(cnet, exhaustive=None):
                 raise ConsistencyError(
                     f"{sorted(y)} is not minimal: {e!r} is redundant"
                 )
-    if exhaustive is None:
-        exhaustive = n <= 16
-    if exhaustive:
+    if n <= 16:
         conn = bytearray(connects(mask) for mask in range(1 << n))
         brute = []
         for mask in range(1, 1 << n):
@@ -448,21 +431,6 @@ def _is_cocircuit(matroid, labels):
     )
 
 
-def _derived(cn, key):
-    """The network's matroid, its dual network or the dual's matroid (one
-    key of _DUALITY_KEYS), built once per drawing and kept in the cache."""
-    got = cn._cache.get(key)
-    if got is None:
-        if key == "duality:matroid":
-            got = dirichlet_matroid(cn)
-        elif key == "duality:dual_network":
-            got = dual_network(cn)
-        else:
-            got = dirichlet_matroid(_derived(cn, "duality:dual_network"))
-        cn._cache[key] = got
-    return got
-
-
 def min_circuit_cover(cnet, target):
     """Fewest distinct circuits of the dual matroid covering a cocircuit.
 
@@ -475,12 +443,13 @@ def min_circuit_cover(cnet, target):
     cn = _as_circular(cnet)
     tset = frozenset(target)
     cn.require_edges(tset)
-    matroid = _derived(cn, "duality:matroid")
+    matroid = derived(cn, "matroid", dirichlet_matroid)
     if not _is_cocircuit(matroid, tset):
         raise NotACocircuit(f"{sorted(tset)} is not a cocircuit")
     if EH not in tset:
         raise NotACocircuit("the target must contain the extra element")
-    dual_matroid = _derived(cn, "duality:dual_matroid")
+    dual = derived(cn, "dual_network", dual_network)
+    dual_matroid = derived(dual, "matroid", dirichlet_matroid)
     circs = sorted(
         dual_matroid.circuits(within=tset, limit=INSULATOR_LIMIT),
         key=lambda c: sorted(c),
@@ -546,8 +515,9 @@ def duality_theorem_check(cnet):
     """
     cn = _as_circular(cnet)
     m = len(cn.boundary)
-    matroid = _derived(cn, "duality:matroid")
-    graph_dual = Matroid.graphic(_derived(cn, "duality:dual_network"))
+    matroid = derived(cn, "matroid", dirichlet_matroid)
+    dual = derived(cn, "dual_network", dual_network)
+    graph_dual = Matroid.graphic(dual)
     rows = []
     ok = True
     for z in network_cocircuits(cn):
@@ -581,7 +551,7 @@ def duality_theorem_check(cnet):
         "rows": rows,
     }
     if m == 2:
-        dual_matroid = _derived(cn, "duality:dual_matroid")
+        dual_matroid = derived(dual, "matroid", dirichlet_matroid)
         ident = {e: e for e in list(cn.edge_order) + [EH]}
         iso = matroid.dual().iso_check(dual_matroid, ident)
         report["dual_iso"] = iso is not None

@@ -2,11 +2,11 @@
 
 The weighted grove counts of a network live in MultiAffinePoly (one variable
 per edge, and one more, eh, in the basis polynomial). grove_polys builds them
-once per network and caches them; every evaluation, partial and line
-restriction of a grove polynomial reads that cache, and each polynomial
-compiles its terms into a suffix-sharing DAG the first time it is evaluated.
-Next to them it caches one node table shared by P0 and the pair
-polynomials, from which a single pass gives all their values at a point
+once per network and keeps them on it (network.derived); every evaluation,
+partial and line restriction of a grove polynomial reads them there, and
+each polynomial compiles its terms into a suffix-sharing DAG the first time
+it is evaluated. Next to them it keeps one node table shared by P0 and the
+pair polynomials, from which a single pass gives all their values at a point
 (the identity checks read P1 there as the sum of the pairs).
 They are built from the listed groves alone, so they share no code with the
 Schur-complement route they are checked against (the grove count that guards
@@ -17,7 +17,7 @@ polynomial obtained from it by exact division by a falling factorial.
 """
 
 from .errors import BadParameter, GraphTooLarge
-from .network import EH, add_boundary_clique, grove_crossing, groves
+from .network import EH, add_boundary_clique, derived, grove_crossing, groves
 from .polynomials import IntPoly, MultiAffinePoly, compile_dag
 
 
@@ -36,11 +36,12 @@ def grove_polys(net):
 
     The bucket decomposition is checked on the spot: the pair polynomials'
     terms, taken together, must be P1's, so P1's value is exactly the sum of
-    the pairs' values. Results are cached on the network.
+    the pairs' values. Results are kept on the network.
     """
-    hit = net._cache.get("grove_polys")
-    if hit is not None:
-        return hit
+    return derived(net, "grove_polys", _build_grove_polys)
+
+
+def _build_grove_polys(net):
     edges = net.edge_order
     none = groves(net, "no-crossing")
     ones = groves(net, "one-crossing")
@@ -53,15 +54,13 @@ def grove_polys(net):
         raise BadParameter("pair buckets do not add up to the one-crossing count")
     basis = list(ones) + [fs | {EH} for fs in none]
     p0 = MultiAffinePoly(edges, none)
-    out = {
+    return {
         "P0": p0,
         "P1": p1,
         "PB": MultiAffinePoly(edges + (EH,), basis),
         "pairs": pairs,
         "table": compile_dag([p0.terms] + [poly.terms for poly in pairs.values()]),
     }
-    net._cache["grove_polys"] = out
-    return out
 
 
 def chromatic_poly(mg, limit=14):
@@ -216,7 +215,7 @@ def _wheel_closed_form(m):
     return shifted.shift(-1)
 
 
-def hexwheel_scan(m_max, limit=None):
+def hexwheel_scan(m_max):
     """Scan hexwheel networks, comparing three routes to the same polynomial.
 
     For each m from 3 to m_max: the precoloring polynomial via the chromatic
@@ -238,16 +237,12 @@ def hexwheel_scan(m_max, limit=None):
         matroid_phi = dirichlet_matroid(net).reduced_char_poly()
         phis[m] = matroid_phi
         row = {"m": m, "poly": matroid_phi, "agreements": {}, "mismatches": {}}
-        if limit is None or 2 * m <= limit:
-            try:
-                chrom_phi = precoloring_poly(net, limit=limit or 14)
-            except GraphTooLarge:
-                chrom_phi = None
-            if chrom_phi is not None:
-                key = "chromatic"
-                (row["agreements"] if chrom_phi == matroid_phi else row["mismatches"])[
-                    key
-                ] = chrom_phi
+        try:
+            chrom_phi = precoloring_poly(net)
+        except GraphTooLarge:
+            pass
+        else:
+            _record(row, "chromatic", chrom_phi)
         if m >= 5:
             base = m - 2
             sign = -1 if base % 2 else 1
@@ -261,29 +256,22 @@ def hexwheel_scan(m_max, limit=None):
                 + (lam - 1) * phis[m - 2]
                 + sign * IntPoly((base + 3, -2))
             )
-            key = "recurrence"
-            (row["agreements"] if predicted == matroid_phi else row["mismatches"])[
-                key
-            ] = predicted
+            _record(row, "recurrence", predicted)
             verbatim = (
                 (lam - 1) * phis[m - 1]
                 + (lam + 1) * phis[m - 2]
                 + sign * IntPoly((base - 1, -2))
             )
-            key = "recurrence-unshifted"
-            (row["agreements"] if verbatim == matroid_phi else row["mismatches"])[
-                key
-            ] = verbatim
-        closed = _wheel_closed_form(m)
-        key = "closed-form"
-        if closed is None:
-            row["mismatches"][key] = None
-        else:
-            (row["agreements"] if closed == matroid_phi else row["mismatches"])[
-                key
-            ] = closed
+            _record(row, "recurrence-unshifted", verbatim)
+        _record(row, "closed-form", _wheel_closed_form(m))
         rows.append(row)
     return rows
+
+
+def _record(row, key, value):
+    """File one route's polynomial under the row's agreements or mismatches
+    (None, a failed division, never agrees)."""
+    row["agreements" if value == row["poly"] else "mismatches"][key] = value
 
 
 def hexwheel_report(rows):

@@ -16,7 +16,9 @@ the network. Only `verify.triangulate`'s grove route and the girth of
 matroid's bases, which its union-find rank oracle finds without the list, and
 the boundary pairs joined by a crossing are read off the blocks. The number
 of groves can be exponential too; it is counted first, in polynomial time,
-and a listing above GROVE_LIMIT groves is refused.
+and a listing above GROVE_LIMIT groves is refused. What is built once per
+network is kept on it by `derived`, the one cache; a network never changes
+after construction, so nothing kept goes stale.
 """
 
 import json
@@ -317,6 +319,15 @@ def add_boundary_clique(net):
 # -- crossings ------------------------------------------------------------
 
 
+def derived(net, key, build):
+    """`build(net)`, built on the first call for this network and key and
+    kept on the network from then on; a build that raises keeps nothing."""
+    cache = net._cache
+    if key not in cache:
+        cache[key] = build(net)
+    return cache[key]
+
+
 def crossings(net):
     """All boundary-to-boundary paths with interior middles.
 
@@ -325,9 +336,10 @@ def crossings(net):
     the size of the network; the rank oracle, the groves and the crossing
     pairs do without it.
     """
-    key = "crossings"
-    if key in net._cache:
-        return net._cache[key]
+    return derived(net, "crossings", _list_crossings)
+
+
+def _list_crossings(net):
     found = set()
     for b in net.boundary:
         # DFS over simple paths leaving b through interior vertices only
@@ -344,9 +356,7 @@ def crossings(net):
                 if y in used:
                     continue
                 stack.append((y, path_edges + [e], used | {y}))
-    out = tuple(sorted(found, key=lambda fs: sorted(fs)))
-    net._cache[key] = out
-    return out
+    return tuple(sorted(found, key=lambda fs: sorted(fs)))
 
 
 def crossing_masks(net):
@@ -446,32 +456,33 @@ def groves(net, mode):
 
     These are the bases of the network matroid: the bases without `eh` are
     the one-crossing groves, and the bases with `eh` are the no-crossing
-    groves plus `eh`. Both modes come from one basis enumeration, cached on
-    the network. Before it starts, the groves are counted, and more than
-    GROVE_LIMIT of them raise GraphTooLarge.
+    groves plus `eh`. Both modes come from one basis enumeration of the
+    network's derived matroid, and both lists are kept on the network.
+    Before it starts, the groves are counted, and more than GROVE_LIMIT of
+    them raise GraphTooLarge.
     """
     if mode not in _GROVE_MODES:
         raise BadParameter(f"grove mode must be one of {_GROVE_MODES}")
-    key = ("groves", mode)
-    if key not in net._cache:
-        from .dirichlet import dirichlet_matroid
-        from .electrical import grove_count
+    return derived(net, "groves", _list_groves)[mode]
 
-        count = grove_count(net)
-        if count > GROVE_LIMIT:
-            raise GraphTooLarge(
-                f"{count} groves exceeds the grove limit {GROVE_LIMIT}"
-            )
 
-        matroid = dirichlet_matroid(net)
-        bases = matroid.bases(limit=len(matroid.ground))
-        net._cache["groves", "one-crossing"] = tuple(
-            fs for fs in bases if EH not in fs
+def _list_groves(net):
+    from .dirichlet import dirichlet_matroid
+    from .electrical import grove_count
+
+    count = grove_count(net)
+    if count > GROVE_LIMIT:
+        raise GraphTooLarge(
+            f"{count} groves exceeds the grove limit {GROVE_LIMIT}"
         )
-        net._cache["groves", "no-crossing"] = tuple(
+    matroid = derived(net, "matroid", dirichlet_matroid)
+    bases = matroid.bases(limit=len(matroid.ground))
+    return {
+        "one-crossing": tuple(fs for fs in bases if EH not in fs),
+        "no-crossing": tuple(
             sorted((fs - {EH} for fs in bases if EH in fs), key=sorted)
-        )
-    return net._cache[key]
+        ),
+    }
 
 
 def grove_crossing(net, fs):

@@ -372,7 +372,7 @@ def _p3_closed_form(seed=0):
         x2 = Fraction(rng.randint(1, 50), rng.randint(1, 9))
         lam = response(net, {"e1": x1, "e2": x2})
         want = x1 * x2 / (x1 + x2)
-        a, b = net.boundary_order if hasattr(net, "boundary_order") else net.boundary
+        a, b = net.boundary
         if lam[a, a] != want or lam[b, b] != want:
             return False
         if lam[a, b] != -want or lam[b, a] != -want:
@@ -504,7 +504,7 @@ def duality_suite(nets=None):
     report = {"suite": "duality", "rows": rows, "all_ok": ok}
     if full:
         s5 = sunflower(5)
-        in5 = set(insulators(s5, exhaustive=False))
+        in5 = set(insulators(s5))
         k5 = min_circuit_cover(s5, SUNFLOWER5_INSULATOR | {EH})["size"]
         ds6 = double_sunflower(6)
         k6 = min_circuit_cover(ds6, DOUBLE6_INSULATOR | {EH})["size"]

@@ -1,7 +1,7 @@
 import pytest
 
+from dirmat import circular
 from dirmat.circular import (
-    _DUALITY_KEYS,
     CircularNetwork,
     dual_network,
     duality_theorem_check,
@@ -91,7 +91,8 @@ def test_dual_of_wheatstone():
     dual = dual_network(wheatstone())
     assert sorted(dual.vertices) == ["f1", "f2", "r_b1", "r_b2"]
     assert len(dual.edges) == 5
-    assert dual.edge_bijection == {e: e for e in wheatstone().edge_order}
+    assert isinstance(dual, CircularNetwork)
+    assert dual.edge_order == wheatstone().edge_order
 
 
 def test_dual_involution():
@@ -123,15 +124,31 @@ def test_insulators_wheatstone():
     ]
 
 
-def test_insulator_exhaustive_route_agrees():
-    # the non-exhaustive route must coincide with the brute rim-connection
-    # scan; ConsistencyError inside insulators() would signal a mismatch
+def test_insulator_exhaustive_route_agrees(monkeypatch):
+    # up to 16 edges the cocircuit route must coincide with the brute
+    # rim-connection scan over every edge subset; ConsistencyError inside
+    # insulators() would signal a mismatch
     nets = [net for net in circular_corpus() if len(net.edges) <= 16]
     assert [net.name for net in nets] == [
         "wheatstone", "sunflower(3)", "sunflower(4)", "sunflower(5)",
     ]
+    tested = []
+    real = circular._rim_test
+
+    def counted(dual, order):
+        connects = real(dual, order)
+
+        def test(mask):
+            tested.append(mask)
+            return connects(mask)
+
+        return test
+
+    monkeypatch.setattr(circular, "_rim_test", counted)
     for net in nets:
-        assert insulators(net, exhaustive=True)
+        tested.clear()
+        assert insulators(net)
+        assert set(range(1 << len(net.edges))) <= set(tested), net.name
 
 
 def test_min_cover_wheatstone_all_cocircuits():
@@ -153,16 +170,42 @@ def test_min_cover_rejects_non_cocircuit():
         min_circuit_cover(net, frozenset({"e1", "e2"}))
 
 
-def test_cover_reuses_matroids_until_redrawn():
+def test_cover_reuses_matroids_until_redrawn(monkeypatch):
     net = sunflower(3)
     target = next(z for z in network_cocircuits(net) if EH in z)
+    built = []
+
+    def counted(kind, build):
+        def wrapper(n):
+            built.append((kind, n))
+            return build(n)
+
+        return wrapper
+
+    monkeypatch.setattr(circular, "dual_network", counted("dual", dual_network))
+    monkeypatch.setattr(
+        circular, "dirichlet_matroid", counted("matroid", dirichlet_matroid)
+    )
     first = min_circuit_cover(net, target)
-    built = {key: net._cache[key] for key in _DUALITY_KEYS}
-    assert min_circuit_cover(net, target) == first
-    assert all(net._cache[key] is obj for key, obj in built.items())
-    validate_embedding(net)
-    assert not any(key in net._cache for key in _DUALITY_KEYS)
-    assert min_circuit_cover(net, target) == first
+    for _ in range(3):
+        assert min_circuit_cover(net, target) == first
+    dual = net._cache["dual_network"]
+    assert [(kind, n is net, n is dual) for kind, n in built] == [
+        ("matroid", True, False),
+        ("dual", True, False),
+        ("matroid", False, True),
+    ]
+    # the dual's matroid is kept on the dual network, never on the primal
+    kept = dict(net._cache)
+    assert set(kept) == {"matroid", "dual_network"}
+    assert set(dual._cache) == {"matroid"}
+
+    again = validate_embedding(net)
+    assert again is not net and again._cache == {}
+    assert min_circuit_cover(again, target) == first
+    assert len(built) == 6
+    assert net._cache.keys() == kept.keys()
+    assert all(net._cache[key] is obj for key, obj in kept.items())
 
 
 def test_figure_cover_sizes():

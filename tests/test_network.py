@@ -174,7 +174,7 @@ def test_groves_over_the_limit_are_refused_before_listing(monkeypatch):
     monkeypatch.setattr(network, "GROVE_LIMIT", 671)
     with pytest.raises(GraphTooLarge):
         groves(net, "one-crossing")
-    assert ("groves", "one-crossing") not in net._cache
+    assert "groves" not in net._cache and "matroid" not in net._cache
     monkeypatch.setattr(network, "GROVE_LIMIT", 672)
     assert len(groves(net, "one-crossing")) == 480
     monkeypatch.undo()
