@@ -7,8 +7,9 @@ reports. response is the one Schur entry point. The sweeps (grove
 identities, Rayleigh differences, proper position, monotonicity, the lower
 bound) evaluate the grove polynomials that grovepoly.grove_polys caches, one
 MultiAffinePoly each, at seeded rational points. The identity checks read
-P0 and every pair polynomial off one pass over their shared node table and
-compare both sides of each identity in integers; the Rayleigh difference,
+P0 and every pair polynomial off one call of the straight-line function
+compiled from their shared node table, kept on the network, and compare
+both sides of each identity in integers; the Rayleigh difference,
 the mixed form E_ij and the Wronskian are read off one value-and-partials
 pass over each polynomial's suffix-sharing DAG per point, and line
 restrictions read the same polynomials' terms.
@@ -33,7 +34,8 @@ from .errors import (
     ZeroRestriction,
 )
 from .grovepoly import grove_polys
-from .polynomials import IntPoly, dag_values
+from .network import derived
+from .polynomials import IntPoly, table_program
 from .sturm import DEFAULT_WIDTH, interlace_check
 
 
@@ -100,15 +102,11 @@ def laplacian(net, x):
     for e in net.edge_order:
         if e not in x:
             raise MissingWeight(f"no weight for edge {e!r}")
-    bd = sorted(net.boundary)
-    interior = sorted(v for v in net.vertices if v not in net.boundary)
-    order = bd + interior
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    bd, interior, ends = derived(net, "laplacian_order", _laplacian_order)
+    n = len(bd) + len(interior)
     full = [[0] * n for _ in range(n)]
-    for e, (u, v) in net.edges.items():
+    for e, iu, iv in ends:
         w = x[e]
-        iu, iv = pos[u], pos[v]
         full[iu][iu] += w
         full[iv][iv] += w
         full[iu][iv] -= w
@@ -117,7 +115,16 @@ def laplacian(net, x):
     A = [row[:m] for row in full[:m]]
     B = [row[m:] for row in full[:m]]
     D = [row[m:] for row in full[m:]]
-    return WeightedLaplacian(tuple(bd), tuple(interior), A, B, D)
+    return WeightedLaplacian(bd, interior, A, B, D)
+
+
+def _laplacian_order(net):
+    """(sorted boundary, sorted interior, [(edge, row of u, row of v)]) for
+    the Laplacian's rows, boundary first."""
+    bd = tuple(sorted(net.boundary))
+    interior = tuple(sorted(v for v in net.vertices if v not in net.boundary))
+    pos = {v: i for i, v in enumerate(bd + interior)}
+    return bd, interior, [(e, pos[u], pos[v]) for e, (u, v) in net.edges.items()]
 
 
 def _bareiss(rows, k):
@@ -173,11 +180,12 @@ def response(net, x):
     det, p = _bareiss(rows, k)
     if det == 0:
         raise SingularInterior("interior block is singular at this point")
-    # S = p * A - B * (p * D^-1 B^T) = p * Lambda(ints), an integer matrix
-    S = [
-        [p * lap.A[i][j] - sum(lap.B[i][t] * rows[t][k + j] for t in range(k)) for j in range(m)]
-        for i in range(m)
-    ]
+    # S = p * A - B * (p * D^-1 B^T) = p * Lambda(ints), an integer matrix,
+    # summed over the nonzeros of B's row
+    S = []
+    for a_row, b_row in zip(lap.A, lap.B):
+        nz = [(b, rows[t]) for t, b in enumerate(b_row) if b]
+        S.append([p * a - sum(b * row[k + j] for b, row in nz) for j, a in enumerate(a_row)])
     for i in range(m):
         if sum(S[i]) != 0:
             raise ConsistencyError("response row sum is nonzero")
@@ -226,8 +234,10 @@ def scale_to_integers(point):
     """(integer point dict, positive multiplier c) with ints = c * point.
 
     Coordinates are ints or Fractions, read through their numerator and
-    denominator.
+    denominator; a point of ints alone is returned as it is.
     """
+    if all(type(v) is int for v in point.values()):
+        return point, 1
     c = 1
     for val in point.values():
         c = lcm(c, val.denominator)
@@ -242,15 +252,13 @@ def _point_identities(net, gp, ints):
     joins whose Lambda_ij is not 0). The response's symmetry and zero row
     sums are checked inside response().
 
-    The grove side is one pass over the node table of P0 and the pair
-    polynomials, with P1 the sum of the pairs; the Schur side is response's
-    integer S = scale * Lambda. So every identity is compared in integers,
-    with both of its sides multiplied by the scale.
+    The grove side is one call of the function compiled from the node table
+    of P0 and the pair polynomials, with P1 the sum of the pairs; the Schur
+    side is response's integer S = scale * Lambda. So every identity is
+    compared in integers, with both of its sides multiplied by the scale.
     """
-    vec = [ints[e] for e in net.edge_order]
-    nodes, roots = gp["table"]
-    val = dag_values(nodes, vec)
-    p0 = val[roots[0]]
+    values = derived(net, "grove_program", _grove_program)(*[ints[e] for e in net.edge_order])
+    p0 = values[0]
     if p0 == 0:
         return None
     lam = response(net, ints)
@@ -258,8 +266,7 @@ def _point_identities(net, gp, ints):
     pos = {b: i for i, b in enumerate(lam.boundary_order)}
     pairs = {}
     p1 = 0
-    for pair, root in zip(gp["pairs"], roots[1:]):
-        value = val[root]
+    for pair, value in zip(gp["pairs"], values[1:]):
         p1 += value
         pairs[pair] = -S[pos[pair[0]]][pos[pair[1]]] * p0 == value * scale
     stray = [
@@ -269,6 +276,13 @@ def _point_identities(net, gp, ints):
     ]
     trace_ok = lam.trace_S() * p0 == 2 * p1 * scale
     return lam.det == p0 * lam.det_scale, trace_ok, pairs, stray
+
+
+def _grove_program(net):
+    """grove_polys' node table of P0 and the pairs as one function of the
+    edge weights (polynomials.table_program), compiled on first use."""
+    nodes, roots = grove_polys(net)["table"]
+    return table_program(nodes, roots, len(net.edge_order))
 
 
 def identity_sweep(net, trials=200, seed=0):
@@ -400,21 +414,6 @@ def hpp_sample(net, trials=100, seed=0):
     return report
 
 
-def hpp_scan_poly(poly, trials=100, seed=0):
-    """The same Rayleigh sweep for an arbitrary multiaffine polynomial.
-
-    Used to confirm the scanner can actually catch a failure: a polynomial
-    without the property must produce a violation witness.
-    """
-    if trials < 1:
-        raise BadParameter("need at least one trial")
-    if any(Fraction(c).denominator != 1 for c, _ in poly.terms):
-        raise BadParameter("integer coefficients only in the scanner")
-    if not poly.is_homogeneous():
-        raise BadParameter("the scanner assumes a homogeneous polynomial")
-    return _hpp_core(poly, trials, seed, "hpp-poly")
-
-
 def proper_position_checks(net, trials=100, seed=0):
     """Wronskian sign and Cauchy-Schwarz sweep for the grove pair (P0, P1).
 
@@ -524,10 +523,12 @@ def interlacing_sweep(net, lines=20, seed=0, width=DEFAULT_WIDTH):
 def monotonicity_and_bound(net, trials=100, seed=0):
     """Trace monotonicity identity and the Rayleigh lower bound, sampled.
 
-    Checks three things at seeded points. First, the exact identity behind
-    monotonicity: delta_(eh,f)(P_B) computed from the basis polynomial equals
-    the Wronskian W_f(P0, P1) computed from the grove pair, and is
-    nonnegative; the two sides come from independent evaluators. Second, at
+    Checks three things at seeded points. First, the identity behind
+    monotonicity: delta_(eh,f)(P_B) equals the Wronskian W_f(P0, P1), and is
+    nonnegative. Since P_B = P1 + x_eh * P0, the equality holds for any two
+    polynomials, and both sides run full() on the same grove lists, so it is
+    a self-consistency check of full(), not a comparison of two routes; the
+    sign is the check that carries weight. Second, at
     strictly positive points, a finite increase of one conductance never
     decreases the response trace (both traces via the Schur route). Third,
     the bound chain 4 * delta_ef(P0) * delta_ef(P1) >= E_ef(P0,P1)^2 with

@@ -6,8 +6,8 @@ once per network and keeps them on it (network.derived); every evaluation,
 partial and line restriction of a grove polynomial reads them there, and
 each polynomial compiles its terms into a suffix-sharing DAG the first time
 it is evaluated. Next to them it keeps one node table shared by P0 and the
-pair polynomials, from which a single pass gives all their values at a point
-(the identity checks read P1 there as the sum of the pairs).
+pair polynomials, which the identity checks compile into one function that
+gives all their values at a point (they read P1 as the sum of the pairs).
 They are built from the listed groves alone, so they share no code with the
 Schur-complement route they are checked against (the grove count that guards
 the listing only decides whether to list). The chromatic side works

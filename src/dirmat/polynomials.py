@@ -6,15 +6,15 @@ coefficients stored constant term first.
 MultiAffinePoly: multivariate polynomials of degree at most one in each
 variable, over an ordered tuple of variables, stored as (coefficient,
 variable positions) terms. The grove generating polynomials live here, and
-it gives their values, partials and restrictions to lines. Values and
-partials read the terms compiled once into a DAG that shares equal suffixes
+it gives their values with partials and their restrictions to lines. full()
+reads the terms compiled once into a DAG that shares equal suffixes
 (sunflower(5)'s basis polynomial: 3,002 terms, 304 nodes, 1,300 edges);
 restrictions to lines still loop over the terms.
 
 compile_dag is the one DAG compiler: it takes several term lists and
-returns one hash-consed node table with a root per polynomial, so that
-dag_values gives all their values in one bottom-up pass. A polynomial's own
-DAG is its one-root case.
+returns one hash-consed node table with a root per polynomial; a
+polynomial's own DAG is its one-root case. table_program compiles a table
+into straight-line code.
 """
 
 from fractions import Fraction
@@ -225,18 +225,47 @@ def compile_dag(term_lists):
     return nodes, roots
 
 
-def dag_values(nodes, v):
-    """Every node's value at the point v (a vector in variable order): one
-    bottom-up pass, skipping edges whose variable is zero."""
-    val = []
-    for end, edges in nodes:
-        s = end
-        for i, child in edges:
-            x = v[i]
-            if x:
-                s += x * val[child]
-        val.append(s)
-    return val
+# Nodes per compiled piece: compiling peaks at about 3.6 KB a line.
+TABLE_CHUNK = 64
+
+
+def table_sources(nodes, roots, nvars):
+    """Sources of straight-line functions for a compile_dag table.
+
+    piece<lo>(x, v) unpacks the point x, gives each of its TABLE_CHUNK
+    nodes a line, v12 = 3 + x4*v7 + x9*v[2] (earlier pieces' values read
+    off v), and appends their values to v; table(*x) runs the pieces and
+    returns the roots' values. Only ints and generated names get in.
+    """
+    unpack = "    (%s) = x" % "".join("x%d, " % i for i in range(nvars))
+    sources = []
+    calls = []
+    for lo in range(0, len(nodes), TABLE_CHUNK):
+        hi = min(lo + TABLE_CHUNK, len(nodes))
+        lines = ["def piece%d(x, v):" % lo, unpack]
+        for k in range(lo, hi):
+            end, edges = nodes[k]
+            if type(end) is not int:
+                raise BadParameter(f"not an integer coefficient: {end!r}")
+            parts = [("x%d*v%d" if child >= lo else "x%d*v[%d]") % (i, child) for i, child in edges]
+            if end or not parts:
+                parts.insert(0, "%d" % end)
+            lines.append("    v%d = %s" % (k, " + ".join(parts)))
+        lines.append("    v += (%s)" % "".join("v%d, " % k for k in range(lo, hi)))
+        sources.append("\n".join(lines) + "\n")
+        calls.append("    piece%d(x, v)\n" % lo)
+    roots = "".join("v[%d], " % r for r in roots)
+    sources.append("def table(*x):\n    v = []\n%s    return (%s)\n" % ("".join(calls), roots))
+    return sources
+
+
+def table_program(nodes, roots, nvars):
+    """table_sources compiled one at a time: table(*point) gives the
+    roots' values."""
+    scope = {}
+    for source in table_sources(nodes, roots, nvars):
+        exec(compile(source, "<node table>", "exec"), scope)
+    return scope["table"]
 
 
 class MultiAffinePoly:
@@ -266,19 +295,12 @@ class MultiAffinePoly:
         self.degree = deg
         self._dag = None
 
-    def is_homogeneous(self):
-        return len({len(term) for _, term in self.terms}) <= 1
-
     def dag(self):
         """The terms compiled into a node table on first use, the root last:
         compile_dag's one-root case."""
         if self._dag is None:
             self._dag = compile_dag([self.terms])[0]
         return self._dag
-
-    def value(self, v):
-        """The value at the point v (a vector in variable order)."""
-        return dag_values(self.dag(), v)[-1]
 
     def full(self, v):
         """(value, first partials list, second partials dict keyed (i, j), i < j).

@@ -14,7 +14,11 @@ which skips every term that meets the point's zero mask, and `term_full`,
 the value and partials at an integer point by dividing each term's product
 by its nonzero factors; and `fraction_point_identities` (for the identity
 checks on one shared node table in integers), which evaluates P1 and each
-pair polynomial on its own and compares the response's Fraction entries. The
+pair polynomial on its own and compares the response's Fraction entries; and
+the DAG's own evaluators (for the function compiled from the shared node
+table): `dag_values`, every node's value from one loop over the table, and
+`dag_value`, a polynomial's value off its own DAG. `hpp_scan_poly` runs the
+package's Rayleigh sweep on any polynomial, for its negative control. The
 duality tests also use `sphere_dual`, which reuses the package's face
 tracing, and `relabel_iso`, a vertex bijection between two graphs with the
 same edge labels.
@@ -439,6 +443,41 @@ def term_value(poly, v):
     return total
 
 
+def dag_values(nodes, v):
+    """Every node's value of a compile_dag table at the point v (a vector in
+    variable order): one bottom-up loop, skipping edges whose variable is
+    zero."""
+    val = []
+    for end, edges in nodes:
+        s = end
+        for i, child in edges:
+            x = v[i]
+            if x:
+                s += x * val[child]
+        val.append(s)
+    return val
+
+
+def dag_value(poly, v):
+    """A MultiAffinePoly's value at v, off its own DAG (the root is last)."""
+    return dag_values(poly.dag(), v)[-1]
+
+
+def hpp_scan_poly(poly, trials=100, seed=0):
+    """The package's Rayleigh sweep for an arbitrary multiaffine polynomial.
+
+    Used to confirm the scanner can actually catch a failure: a polynomial
+    without the property must produce a violation witness.
+    """
+    if trials < 1:
+        raise BadParameter("need at least one trial")
+    if any(Fraction(c).denominator != 1 for c, _ in poly.terms):
+        raise BadParameter("integer coefficients only in the scanner")
+    if len({len(term) for _, term in poly.terms}) > 1:
+        raise BadParameter("the scanner assumes a homogeneous polynomial")
+    return electrical._hpp_core(poly, trials, seed, "hpp-poly")
+
+
 def term_full(poly, v):
     """(value, first partials list, second partials dict keyed (i, j), i < j).
 
@@ -496,17 +535,17 @@ def fraction_point_identities(net, gp, ints):
     so that a test's patch of it reaches this route too.
     """
     vec = [ints[e] for e in net.edge_order]
-    p0 = gp["P0"].value(vec)
+    p0 = dag_value(gp["P0"], vec)
     if p0 == 0:
         return None
     lam = electrical.response(net, ints)
-    pairs = {pair: -lam[pair] * p0 == poly.value(vec) for pair, poly in gp["pairs"].items()}
+    pairs = {pair: -lam[pair] * p0 == dag_value(poly, vec) for pair, poly in gp["pairs"].items()}
     stray = [
         pair
         for pair in combinations(lam.boundary_order, 2)
         if pair not in gp["pairs"] and lam[pair] != 0
     ]
-    trace_ok = lam.trace() * p0 == 2 * gp["P1"].value(vec)
+    trace_ok = lam.trace() * p0 == 2 * dag_value(gp["P1"], vec)
     return lam.det_interior == p0, trace_ok, pairs, stray
 
 

@@ -8,7 +8,6 @@ from dirmat import electrical
 from dirmat.electrical import (
     grove_identities,
     hpp_sample,
-    hpp_scan_poly,
     identity_sweep,
     interlacing,
     interlacing_sweep,
@@ -18,15 +17,16 @@ from dirmat.electrical import (
     response,
 )
 from dirmat.errors import BadParameter, SingularInterior
-from dirmat.families import hexwheel, path, star, triangle
+from dirmat.families import hexwheel, path, star, triangle, wheatstone
 from dirmat.grovepoly import grove_polys
-from dirmat.network import EH, Network, groves
-from dirmat.polynomials import MultiAffinePoly
+from dirmat.network import EH, Network, derived, groves
+from dirmat.polynomials import MultiAffinePoly, table_program
 from dirmat.verify import corpus
 
 from bruteforce import (
     fraction_point_identities,
     fraction_response,
+    hpp_scan_poly,
     integer_points,
     seeded_random_networks,
 )
@@ -162,6 +162,32 @@ def test_point_identities_match_the_fraction_route(monkeypatch):
     assert {None, (True, True, True), (False, True, False), (False, False, True)} <= outcomes
 
 
+def test_a_planted_grove_table_defect_fails_the_identities():
+    # the function compiled from a table with one node's end coefficient
+    # raised by 1: at a point of positive weights every root above that node
+    # grows, so P0 or a pair polynomial is wrong and the identities must
+    # fail; every node of wheatstone's table, and seeded nodes of
+    # hexwheel(6)'s. Each planted function sits on a fresh copy of the
+    # network that shares the real grove polynomials.
+    rng = random.Random("planted-table")
+    for build, picks in [(wheatstone, None), (lambda: hexwheel(6), 6)]:
+        net = build()
+        gp = grove_polys(net)
+        nodes, roots = gp["table"]
+        x = {e: rng.randint(1, 9) for e in net.edge_order}
+        assert grove_identities(net, x)["all_ok"]
+        ks = range(len(nodes)) if picks is None else [0, *rng.sample(range(len(nodes)), picks)]
+        for k in ks:
+            bad = list(nodes)
+            bad[k] = (bad[k][0] + 1, bad[k][1])
+            planted = build()
+            derived(planted, "grove_polys", lambda _: gp)
+            derived(planted, "grove_program", lambda _: table_program(bad, roots, len(net.edge_order)))
+            rep = grove_identities(planted, x)
+            assert not rep["all_ok"], (net.name, k)
+            assert not (rep["det_ok"] and all(rep["pairs"].values())), (net.name, k)
+
+
 def test_delta_eval_pinned_path3():
     # the basis polynomial of the two-edge path is x1 x2 + x_eh (x1 + x2);
     # its Rayleigh difference at (eh, e1) is x2^2
@@ -288,12 +314,14 @@ def test_response_row_swap_and_no_interior():
     assert _agrees_with_fraction_route(net, x)
     assert response(net, x).det_interior == -1
     # Network refuses a network whose every vertex is on the boundary; the
-    # four fields laplacian reads make one, whose response is its Laplacian
+    # four fields laplacian reads, and the cache derived() keeps its row
+    # order in, make one, whose response is its Laplacian
     flat = SimpleNamespace(
         vertices=("a", "b", "c"),
         boundary=frozenset("abc"),
         edges={"e1": ("a", "b"), "e2": ("b", "c")},
         edge_order=("e1", "e2"),
+        _cache={},
     )
     x = {"e1": Fraction(-2, 3), "e2": Fraction(5)}
     assert _agrees_with_fraction_route(flat, x)

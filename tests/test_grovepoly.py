@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dirmat.dirichlet import dirichlet_matroid
+from dirmat.errors import BadParameter
 from dirmat.families import double_path, hexwheel, path, star, sunflower, triangle
 from dirmat.grovepoly import (
     chromatic_poly,
@@ -12,11 +15,14 @@ from dirmat.grovepoly import (
     precoloring_poly,
 )
 from dirmat.network import add_boundary_clique
-from dirmat.polynomials import IntPoly, MultiAffinePoly, dag_values
+from dirmat import polynomials
+from dirmat.polynomials import IntPoly, MultiAffinePoly, table_program, table_sources
 from dirmat.verify import corpus
 
 from bruteforce import (
     brute_color_count,
+    dag_value,
+    dag_values,
     integer_points,
     seeded_random_networks,
     term_full,
@@ -76,12 +82,12 @@ def test_multiaffine_partials_and_lines_against_values():
             for _ in range(3):
                 vec = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
                 value, first, second = poly.full(vec)
-                assert value == poly.value(vec)
+                assert value == dag_value(poly, vec)
                 for i in range(n):
-                    assert first[i] == poly.value(_at(vec, i, 1)) - poly.value(_at(vec, i, 0))
+                    assert first[i] == dag_value(poly, _at(vec, i, 1)) - dag_value(poly, _at(vec, i, 0))
                     for j in range(i + 1, n):
                         corners = [
-                            poly.value(_at(_at(vec, i, a), j, b)) for a in (0, 1) for b in (0, 1)
+                            dag_value(poly, _at(_at(vec, i, a), j, b)) for a in (0, 1) for b in (0, 1)
                         ]
                         d_ij = corners[3] - corners[2] - corners[1] + corners[0]
                         assert second.get((i, j), 0) == d_ij
@@ -90,13 +96,13 @@ def test_multiaffine_partials_and_lines_against_values():
                 line = IntPoly(poly.restrict_line(base, direction))
                 for t in range(poly.degree + 2):
                     point = [b + t * d for b, d in zip(base, direction)]
-                    assert line(t) == poly.value(point)
+                    assert line(t) == dag_value(poly, point)
 
 
 def _agree_with_term_loops(poly, vec):
     value, first, second = poly.full(vec)
     want_value, want_first, want_second = term_full(poly, vec)
-    assert value == want_value == poly.value(vec) == term_value(poly, vec)
+    assert value == want_value == dag_value(poly, vec) == term_value(poly, vec)
     assert first == want_first
     n = len(vec)
     keys = set(second) | set(want_second)
@@ -105,25 +111,32 @@ def _agree_with_term_loops(poly, vec):
 
 
 def test_value_and_full_match_the_term_loops():
-    # value() and full() read the suffix-sharing DAG, and the identity
-    # checks read every root of the node table P0 shares with the pair
-    # polynomials; the term loops are the oracles, on every grove polynomial
-    # of the corpus and of 20 seeded random networks
+    # full() reads the suffix-sharing DAG, and the identity checks call the
+    # function compiled from the node table P0 shares with the pair
+    # polynomials; the term loops and the DAG's own loop are the oracles, on
+    # every grove polynomial of the corpus and of 20 seeded random networks,
+    # at mixed-sign integer points with 0, 1 and 2 zeros and at points with
+    # Fraction coordinates
     rng = random.Random(17)
     for net in corpus() + seeded_random_networks(20):
         gp = grove_polys(net)
         nodes, roots = gp["table"]
         shared = [gp["P0"], *gp["pairs"].values()]
         assert len(roots) == len(shared)
+        program = table_program(nodes, roots, len(net.edge_order))
         for vec in integer_points(rng, len(net.edge_order), 60):
-            val = dag_values(nodes, vec)
-            assert [val[r] for r in roots] == [term_value(poly, vec) for poly in shared]
+            for _ in range(2):
+                val = dag_values(nodes, vec)
+                want = [term_value(poly, vec) for poly in shared]
+                assert [val[r] for r in roots] == want
+                assert list(program(*vec)) == want
+                vec[rng.randrange(len(vec))] = Fraction(rng.randint(-9, 9), 7)
         for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
             for vec in integer_points(rng, len(poly.variables), 60):
                 _agree_with_term_loops(poly, vec)
                 # the DAG takes any exact number; the oracle's value does too
                 vec[rng.randrange(len(vec))] = Fraction(rng.randint(-9, 9), 7)
-                assert poly.value(vec) == term_value(poly, vec)
+                assert dag_value(poly, vec) == term_value(poly, vec)
             # a grove polynomial is homogeneous of degree r, so its partials
             # at vec / 7 are those at vec scaled by 7^-r, 7^(1-r) and 7^(2-r)
             r, seven = poly.degree, Fraction(7)
@@ -166,11 +179,48 @@ def test_dag_node_counts_pinned():
     # the table P0 shares with the pair polynomials: apart, their DAGs hold
     # 939 nodes and 2,281 edges on sunflower(5), and 832 and 1,471 on
     # hexwheel(6)
-    for net, polys, nodes, edges in [(sunflower(5), 11, 566, 1544), (hexwheel(6), 16, 526, 1094)]:
+    # hexwheel(6). Its function has a line per node, and three more in each
+    # of the 9 pieces of up to 64 nodes, and the entry point 12 more
+    for net, polys, nodes, edges, lines in [
+        (sunflower(5), 11, 566, 1544, 605),
+        (hexwheel(6), 16, 526, 1094, 565),
+    ]:
         table, roots = grove_polys(net)["table"]
         assert len(roots) == polys
         assert len(table) == nodes
         assert sum(len(out) for _, out in table) == edges
+        sources = table_sources(table, roots, len(net.edge_order))
+        assert len(sources) == 10
+        assert sum(len(source.splitlines()) for source in sources) == lines
+
+
+def test_table_sources_hold_integers_and_generated_names_only(monkeypatch):
+    # a node reads end + x_i * child for each edge, the end left out when it
+    # is 0 (and kept for a node with no edges), a child of an earlier piece
+    # read off the list v; an end that is not an int never reaches a source
+    monkeypatch.setattr(polynomials, "TABLE_CHUNK", 2)
+    nodes = [(1, ()), (0, ()), (-3, ((1, 0),)), (0, ((0, 2), (2, 0)))]
+    assert table_sources(nodes, [3, 2], 3) == [
+        "def piece0(x, v):\n"
+        "    (x0, x1, x2, ) = x\n"
+        "    v0 = 1\n"
+        "    v1 = 0\n"
+        "    v += (v0, v1, )\n",
+        "def piece2(x, v):\n"
+        "    (x0, x1, x2, ) = x\n"
+        "    v2 = -3 + x1*v[0]\n"
+        "    v3 = x0*v2 + x2*v[0]\n"
+        "    v += (v2, v3, )\n",
+        "def table(*x):\n"
+        "    v = []\n"
+        "    piece0(x, v)\n"
+        "    piece2(x, v)\n"
+        "    return (v[3], v[2], )\n",
+    ]
+    assert table_program(nodes, [3, 2], 3)(2, 5, 7) == (2 * 2 + 7, 2)
+    for end in (Fraction(1, 2), 1.0, "1"):
+        with pytest.raises(BadParameter):
+            table_sources([(end, ())], [0], 0)
 
 
 def test_chromatic_poly_matches_brute_force():
