@@ -3,7 +3,9 @@
 A Matroid wraps a rank function on bitmasks. Everything else (bases,
 circuits, duality, minors, connectivity, characteristic polynomials, broken
 circuit complexes) is derived from the oracle, with explicit size guards on
-the exponential scans.
+the exponential scans. Circuits come from one walk over the subsets of the
+scope, filling an independence table: the rank is asked only of a set whose
+one-smaller subsets are all independent, and tells independent from circuit.
 """
 
 from .errors import (
@@ -25,6 +27,7 @@ class Matroid:
         self.name = name
         self.full_mask = (1 << len(self.ground)) - 1
         self._full_rank = None
+        self._circuit_sets = {}  # circuit mask -> frozenset, filled by circuits
 
     # -- label/mask plumbing ---------------------------------------------
 
@@ -87,21 +90,55 @@ class Matroid:
         return tuple(sorted(out, key=sorted))
 
     def circuits(self, within=None, limit=16):
-        """All circuits (minimal dependent sets), optionally inside `within`."""
+        """All circuits (minimal dependent sets), optionally inside `within`,
+        sorted by size, then labels. Each circuit is one frozenset, kept on
+        the matroid and handed out again by later scans."""
         scope = self.full_mask if within is None else self.mask_of(within)
-        if scope.bit_count() > limit:
-            raise GroundTooLarge(
-                f"circuit scan over {scope.bit_count()} elements (limit {limit})"
-            )
-        is_circuit = self.is_circuit_mask
+        t = scope.bit_count()
+        if t > limit:
+            raise GroundTooLarge(f"circuit scan over {t} elements (limit {limit})")
+        # local index s -> global mask lo[s & low] | hi[s >> h]
+        h = t // 2
+        low = (1 << h) - 1
+        lo, hi = [0], [0]
+        m = scope
+        while m:
+            b = m & -m
+            half = lo if len(lo) <= low else hi
+            half += [x | b for x in half]
+            m ^= b
+        rk = self._rank_mask
+        dep = bytearray(1 << t)
+        found = []
+        for k in range(t):
+            # the sets with top bit k: s = r | top is dependent when r is
+            # (copied over) or when a dependent one-smaller set marked it;
+            # only an unmarked s is asked, and its rank tells independent
+            # from circuit
+            top = 1 << k
+            dep[top : top << 1] = dep[:top]
+            r = dep.find(0, 0, top)
+            while r >= 0:
+                s = r | top
+                if not dep[s]:
+                    g = lo[s & low] | hi[s >> h]
+                    if rk(g) <= r.bit_count():
+                        dep[s] = 1
+                        found.append(g)
+                if dep[s]:
+                    free = (top - 1) & ~r
+                    while free:
+                        b = free & -free
+                        dep[s | b] = 1
+                        free ^= b
+                r = dep.find(0, r + 1, top)
+        kept = self._circuit_sets
         out = []
-        sub = scope
-        while True:
-            if is_circuit(sub):
-                out.append(self.labels_of(sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & scope
+        for g in found:
+            c = kept.get(g)
+            if c is None:
+                c = kept[g] = self.labels_of(g)
+            out.append(c)
         return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
 
     def is_circuit_mask(self, mask):

@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions, independent of the package
 internals, and only meant for tiny inputs. The exceptions are earlier routes
-kept as references for what replaced them: `recursion_cocircuits` (for the
+kept as references for what replaced them: `circuits_by_scan` (for the
+independence-table walk of `Matroid.circuits`), `recursion_cocircuits` (for the
 labelling search), which reuses the package's lift rank and crossing list,
 `crossing_list_rank` (for the union-find lift rank), the graphic rank of the
 identified graph plus a scan of the crossing list, and three routes in
@@ -32,7 +33,7 @@ from dirmat import electrical
 from dirmat.circular import _trace_faces
 from dirmat.dirichlet import _check_cocircuit, _lift_engine
 from dirmat.electrical import laplacian
-from dirmat.errors import BadParameter, GraphTooLarge, NotPlanar
+from dirmat.errors import BadParameter, GraphTooLarge, GroundTooLarge, NotPlanar
 from dirmat.families import random_network
 from dirmat.matroid import graphic_rank
 from dirmat.network import EH, MultiGraph, crossing_masks, identify_boundary
@@ -200,6 +201,26 @@ def brute_color_count(mg, k):
         return total
 
     return rec(0, {})
+
+
+def circuits_by_scan(matroid, within=None, limit=16):
+    """Every circuit inside `within` (default: the ground set), by asking
+    `is_circuit_mask` of each of the 2^|scope| subsets; sorted by size,
+    then labels, as `Matroid.circuits` returns them."""
+    scope = matroid.full_mask if within is None else matroid.mask_of(within)
+    if scope.bit_count() > limit:
+        raise GroundTooLarge(
+            f"circuit scan over {scope.bit_count()} elements (limit {limit})"
+        )
+    out = []
+    sub = scope
+    while True:
+        if matroid.is_circuit_mask(sub):
+            out.append(matroid.labels_of(sub))
+        if sub == 0:
+            break
+        sub = (sub - 1) & scope
+    return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
 
 
 def recursion_cocircuits(net, node_limit=4_000_000):
