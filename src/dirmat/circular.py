@@ -16,7 +16,7 @@ the matroid and the dual network are kept on it (network.derived), the
 dual's matroid on the dual network.
 """
 
-from .dirichlet import _check_cocircuit, dirichlet_matroid, network_cocircuits
+from .dirichlet import _cocircuit_test, dirichlet_matroid, network_cocircuits
 from .errors import (
     BadParameter,
     BoundaryOrderMismatch,
@@ -422,15 +422,6 @@ def insulators(cnet):
 # -- circuit covers and the duality bounds -----------------------------------
 
 
-def _is_cocircuit(matroid, labels):
-    zmask = matroid.mask_of(labels)
-    if zmask == 0:
-        return False
-    return _check_cocircuit(
-        matroid.rank_mask, matroid.full_mask, matroid.full_rank(), zmask
-    )
-
-
 def min_circuit_cover(cnet, target):
     """Fewest distinct circuits of the dual matroid covering a cocircuit.
 
@@ -443,8 +434,8 @@ def min_circuit_cover(cnet, target):
     cn = _as_circular(cnet)
     tset = frozenset(target)
     cn.require_edges(tset)
-    matroid = derived(cn, "matroid", dirichlet_matroid)
-    if not _is_cocircuit(matroid, tset):
+    is_cocircuit = derived(cn, "cocircuit_test", _cocircuit_test)
+    if not is_cocircuit(derived(cn, "matroid", dirichlet_matroid).mask_of(tset)):
         raise NotACocircuit(f"{sorted(tset)} is not a cocircuit")
     if EH not in tset:
         raise NotACocircuit("the target must contain the extra element")

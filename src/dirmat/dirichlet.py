@@ -12,41 +12,49 @@ the set's edges in the original graph keeps the m boundary nodes apart; let
 c_B be the number of distinct roots among them. The set holds a crossing
 exactly when c_B < m (two boundary nodes share a component, and the path
 between them starts with a crossing), its graphic rank in the identified
-graph is merges - m + c_B, and so its rank is that plus one when it holds
-the extra element or c_B < m. A query is one pass over the set's edges
-plus one find per boundary node.
+graph is merges - m + c_B, and so its rank is that plus u, where u = 1 when
+it holds the extra element or c_B < m. A query is one pass over the set's
+edges plus one find per boundary node.
 
-The lift description also gives the cocircuits directly
-(`network_cocircuits`), and the module holds the graph-side connectivity
-criteria.
+The same pass tests a cocircuit Z. Its complement H is a hyperplane when
+its rank is one less than the full rank and every element of Z raises it:
+the extra element exactly when u(H) = 0, and an edge exactly when it joins
+two components of H's forest, not both holding boundary nodes if u(H) = 1
+(those lie in one vertex of the identified graph). `network_cocircuits`
+checks every cocircuit it lists this way. The module also holds the
+graph-side connectivity criteria.
 """
 
 from itertools import combinations
 
 from .errors import GraphTooLarge
 from .matroid import Matroid, union_find
-from .network import EH, add_boundary_clique, identify_boundary
+from .network import EH, add_boundary_clique, derived, identify_boundary
 
 
 # -- the rank oracle ---------------------------------------------------------
 
 
+def _lift_forest(net):
+    """The edge ends over the vertex indexing with the boundary nodes first
+    (vertex i < m is boundary node i), and the union-find pass over them."""
+    bd = net.boundary
+    vidx = {v: i for i, v in enumerate(list(bd) + list(net.interior))}
+    ends = [
+        (vidx[net.edges[e][0]], vidx[net.edges[e][1]]) for e in net.edge_order
+    ]
+    return ends, union_find(len(vidx), ends, range(len(bd)))
+
+
 def _lift_engine(net):
     """The lift rank on bitmasks over the edge order, bit n being `eh`, by
     the c_B rule of the module docstring."""
-    bd = net.boundary
-    m = len(bd)
-    vidx = {v: i for i, v in enumerate(list(bd) + list(net.interior))}
-    order = net.edge_order
-    forest = union_find(
-        len(vidx),
-        [(vidx[net.edges[e][0]], vidx[net.edges[e][1]]) for e in order],
-        range(m),
-    )
-    eh_bit = 1 << len(order)
+    m = len(net.boundary)
+    _, forest = _lift_forest(net)
+    eh_bit = 1 << len(net.edge_order)
 
     def rank(mask):
-        merges, c_b = forest(mask & (eh_bit - 1))
+        merges, c_b, _ = forest(mask & (eh_bit - 1))
         if mask & eh_bit or c_b < m:
             return merges - m + c_b + 1
         return merges
@@ -60,20 +68,42 @@ def dirichlet_matroid(net):
     return Matroid(ground, _lift_engine(net), name=f"M({net.name})")
 
 
-# -- structural cocircuit enumeration ---------------------------------------
+def _cocircuit_test(net):
+    """Whether a bitmask (as for `_lift_engine`) is a cocircuit, by one
+    pass over its complement and the rule of the module docstring."""
+    m = len(net.boundary)
+    ends, forest = _lift_forest(net)
+    eh_bit = 1 << len(ends)
+    merges, c_b, _ = forest(eh_bit - 1)
+    hyperplane_rank = merges - m + c_b  # the full rank, less one
 
-
-def _check_cocircuit(rank, full_mask, r, zmask):
-    hmask = full_mask & ~zmask
-    if rank(hmask) != r - 1:
-        return False
-    m = zmask
-    while m:
-        b = m & -m
-        if rank(hmask | b) != r:
+    def test(zmask):
+        merges, c_b, parent = forest(~zmask & (eh_bit - 1))
+        u = c_b < m or not zmask & eh_bit
+        if merges - m + c_b + u != hyperplane_rank or u and zmask & eh_bit:
             return False
-        m ^= b
-    return True
+        held = set()
+        for i in range(m if u else 0):
+            while parent[i] != i:
+                i = parent[i]
+            held.add(i)
+        z = zmask & (eh_bit - 1)
+        while z:
+            b = z & -z
+            a, c = ends[b.bit_length() - 1]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[c] != c:
+                c = parent[c]
+            if a == c or a in held and c in held:
+                return False
+            z ^= b
+        return True
+
+    return test
+
+
+# -- structural cocircuit enumeration ---------------------------------------
 
 
 def _rim_order(net):
@@ -114,28 +144,38 @@ def network_cocircuits(net, node_limit=4_000_000):
     breadth-first order from the rim. A branch is cut as soon as some
     labelled vertex can no longer reach its label's boundary node through
     vertices that carry the same label or none yet, so every leaf is a
-    cocircuit. `node_limit` bounds the labellings tried (GraphTooLarge when
-    it trips). Every candidate is re-verified against the rank oracle.
+    cocircuit. Each node keeps, per label, the set that label's boundary
+    node reaches: giving v label b leaves b's set as it is, so v must lie in
+    it, and only the labels whose sets held v are searched again.
+
+    `node_limit` bounds the bipartitions scanned plus the labellings tried
+    (GraphTooLarge, before the scan when the bipartitions alone exceed it).
+    Every candidate is checked by the one-pass cocircuit test.
     """
     og, hub = identify_boundary(net)
     order = net.edge_order
     n = len(order)
     eidx = {e: i for i, e in enumerate(order)}
     eh_bit = 1 << n
-    full = (1 << (n + 1)) - 1
-    rank = _lift_engine(net)
-    r = rank(full)
+    is_cocircuit = derived(net, "cocircuit_test", _cocircuit_test)
 
     out = []
 
     # bonds: connected vertex bipartitions of the identified graph
     verts = og.vertices
     nv = len(verts)
+    scan = 1 << (nv - 1)
+    budget = node_limit - scan
+    if budget < 0:
+        raise GraphTooLarge(
+            f"cocircuit search: {scan} vertex bipartitions exceed its node "
+            f"budget of {node_limit}"
+        )
 
     def side_connected(side):
         return len(og.reach(next(iter(side)), side)) == len(side)
 
-    for smask in range(1 << (nv - 1)):
+    for smask in range(scan):
         side = {verts[0]} | {verts[i + 1] for i in range(nv - 1) if smask >> i & 1}
         if len(side) == nv:
             continue
@@ -146,7 +186,7 @@ def network_cocircuits(net, node_limit=4_000_000):
         for e, (a, b) in og.edges.items():
             if (a in side) != (b in side):
                 zmask |= 1 << eidx[e]
-        if zmask and _check_cocircuit(rank, full, r, zmask):
+        if is_cocircuit(zmask):
             out.append(zmask)
 
     # boundary labellings: vertex i < m is boundary node i and labels itself
@@ -164,10 +204,9 @@ def network_cocircuits(net, node_limit=4_000_000):
     label = list(range(m)) + [0] * (len(vlist) - m)
     cls = [1 << b for b in range(m)]
     free = (1 << len(vlist)) - (1 << m)
-    budget = node_limit
 
-    def reaches(b):
-        # every vertex labelled b is joined to b through b's and free vertices
+    def reach(b):
+        # the vertices joined to b through b's and free vertices
         allowed = cls[b] | free
         seen = front = 1 << b
         while front:
@@ -178,31 +217,41 @@ def network_cocircuits(net, node_limit=4_000_000):
                 front ^= low
             front = grow & allowed & ~seen
             seen |= front
-        return cls[b] & ~seen == 0
+        return seen
 
-    def search(v):
+    def search(v, seen):
+        # seen[c] is reach(c); every class lies inside its own
         nonlocal free, budget
         if v == len(vlist):
             zmask = eh_bit
             for a, b, bit in ends:
                 if label[a] != label[b]:
                     zmask |= bit
-            if _check_cocircuit(rank, full, r, zmask):
+            if is_cocircuit(zmask):
                 out.append(zmask)
             return
-        free ^= 1 << v
+        bit = 1 << v
+        free ^= bit
         for b in range(m):
             budget -= 1
             if budget < 0:
                 raise GraphTooLarge("cocircuit search exceeded its node budget")
+            if not seen[b] & bit:
+                continue
             label[v] = b
-            cls[b] |= 1 << v
-            if all(reaches(c) for c in range(m) if cls[c] != 1 << c):
-                search(v + 1)
-            cls[b] ^= 1 << v
-        free |= 1 << v
+            cls[b] |= bit
+            child = seen[:]
+            for c in range(m):
+                if c != b and seen[c] & bit:
+                    child[c] = reach(c)
+                    if cls[c] & ~child[c]:
+                        break
+            else:
+                search(v + 1, child)
+            cls[b] ^= bit
+        free |= bit
 
-    search(m)
+    search(m, [reach(b) for b in range(m)])
 
     labels = list(order) + [EH]
 

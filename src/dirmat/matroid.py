@@ -324,8 +324,9 @@ def union_find(nv, ends, terminals=()):
     Bit i of a mask is the edge joining the vertex indices ends[i] (of nv
     vertices). The returned function gives, for a mask, the number of
     merges a union-find with path halving makes over the set edges (the
-    graphic rank of the set) and the number of distinct roots among the
-    vertex indices `terminals` (how many components they fall into).
+    graphic rank of the set), the number of distinct roots among the
+    vertex indices `terminals` (how many components they fall into) and
+    the parent list the pass leaves, whose root walks name the components.
     """
 
     def run(mask):
@@ -349,7 +350,7 @@ def union_find(nv, ends, terminals=()):
             while parent[t] != t:
                 t = parent[t]
             roots.add(t)
-        return merges, len(roots)
+        return merges, len(roots), parent
 
     return run
 

@@ -11,7 +11,12 @@ import random as _random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .circular import duality_theorem_check, insulators, min_circuit_cover
+from .circular import (
+    duality_theorem_check,
+    dual_network,
+    insulators,
+    min_circuit_cover,
+)
 from .dirichlet import connectivity_criteria, dirichlet_matroid
 from .electrical import (
     identity_sweep,
@@ -20,7 +25,7 @@ from .electrical import (
     hpp_sample,
     response,
 )
-from .errors import BadParameter, GroundTooLarge
+from .errors import BadParameter, ConsistencyError, GroundTooLarge
 from .families import (
     double_path,
     double_sunflower,
@@ -46,7 +51,7 @@ from .linrep import (
     representability,
     representation_matrix,
 )
-from .matroid import beta_from_char_poly
+from .matroid import Matroid, beta_from_char_poly
 from .network import (
     EH,
     RollbackDSU,
@@ -151,8 +156,10 @@ def triangulate(net, limit=17):
     is unbalanced when its graphic rank drops under the identification.
     Route three is column rank of the rational representation under a
     block-injective boundary assignment. All three must agree on
-    independence, and the two rank functions must agree everywhere. One
-    shared depth-first walk maintains all three incrementally with rollback.
+    independence, and the two rank functions must agree everywhere, with
+    each other and with the rank oracle every other computation uses
+    (`dirichlet_matroid`), asked of each subset's bitmask. One shared
+    depth-first walk maintains the three routes incrementally with rollback.
     """
     order = list(net.edge_order)
     n = len(order)
@@ -179,6 +186,7 @@ def triangulate(net, limit=17):
                 cross_with[i].append(ci)
 
     cols = _integer_columns(net)
+    oracle = dirichlet_matroid(net).rank_mask
 
     g_dsu = RollbackDSU(len(net.vertices))
     o_dsu = RollbackDSU(len(overts))
@@ -187,12 +195,16 @@ def triangulate(net, limit=17):
     mismatches = []
     checked = [0]
 
-    def check(size, grove_ind, lift_rank, rep_rank, eh_in, members):
+    def check(size, grove_ind, lift_rank, rep_rank, mask, members):
         checked[0] += 1
-        ok = lift_rank == rep_rank and grove_ind == (lift_rank == size)
+        oracle_rank = oracle(mask)
+        ok = (
+            lift_rank == rep_rank == oracle_rank
+            and grove_ind == (lift_rank == size)
+        )
         if not ok and len(mismatches) < 5:
             labels = sorted(members)
-            if eh_in:
+            if mask >> n & 1:
                 labels.append(EH)
             mismatches.append(
                 {
@@ -200,33 +212,34 @@ def triangulate(net, limit=17):
                     "grove_independent": grove_ind,
                     "lift_rank": lift_rank,
                     "rep_rank": rep_rank,
+                    "oracle_rank": oracle_rank,
                 }
             )
 
     members = []
 
-    def leaves():
+    def leaves(mask):
         # a crossing joins two boundary nodes, so identifying them loses a
         # merge: the lift route never looks at the crossing list
         unbalanced = state["merges"] < state["size"] - state["cycles"]
         size = state["size"]
         lift = state["merges"] + (1 if unbalanced else 0)
         grove = state["cycles"] == 0 and state["contained"] <= 1
-        check(size, grove, lift, len(basis), False, members)
+        check(size, grove, lift, len(basis), mask, members)
         pivot, vec = _reduce_column(basis, cols[n])
         if pivot is not None:
             basis.append((pivot, vec))
         lift = state["merges"] + 1
         grove = state["cycles"] == 0 and state["contained"] == 0
-        check(size + 1, grove, lift, len(basis), True, members)
+        check(size + 1, grove, lift, len(basis), mask | 1 << n, members)
         if pivot is not None:
             basis.pop()
 
-    def rec(i):
+    def rec(i, mask):
         if i == n:
-            leaves()
+            leaves(mask)
             return
-        rec(i + 1)
+        rec(i + 1, mask)
         merged_g = g_dsu.union(*g_ends[i])
         if not merged_g:
             state["cycles"] += 1
@@ -245,7 +258,7 @@ def triangulate(net, limit=17):
         state["size"] += 1
         members.append(order[i])
 
-        rec(i + 1)
+        rec(i + 1, mask | 1 << i)
 
         members.pop()
         state["size"] -= 1
@@ -261,7 +274,7 @@ def triangulate(net, limit=17):
             state["cycles"] -= 1
         g_dsu.undo()
 
-    rec(0)
+    rec(0, 0)
     return {
         "network": net.name,
         "subsets": checked[0],
@@ -485,21 +498,40 @@ DOUBLE6_INSULATOR = frozenset(
 def duality_suite(nets=None):
     """Cocircuit dichotomy and cover bounds over the circular corpus, plus
     (on the full corpus run) the two pinned cover sizes and the
-    two-terminal isomorphism."""
+    two-terminal isomorphism.
+
+    The cocircuit list is checked for completeness by two other routes: its
+    cocircuits without the extra element must be every circuit of the dual
+    network's cycle matroid, and, on networks of at most 16 edges,
+    `insulators` re-derives the ones through it by brute force."""
     full = nets is None
     rows = []
     ok = True
     for net in (circular_corpus() if full else nets):
         rep = duality_theorem_check(net)
+        bonds = {
+            frozenset(r["cocircuit"]) for r in rep["rows"] if r["type"] == "graphic"
+        }
+        cycles = Matroid.graphic(dual_network(net)).circuits(limit=20)
+        complete = bonds == set(cycles)
+        insulated = None
+        if len(net.edges) <= 16:
+            try:
+                insulators(net)
+                insulated = True
+            except ConsistencyError:
+                insulated = False
         rows.append(
             {
                 "network": net.name,
                 "cocircuits": rep["cocircuits"],
                 "ok": rep["all_ok"],
                 "dual_iso": rep.get("dual_iso"),
+                "bonds_complete": complete,
+                "insulators": insulated,
             }
         )
-        ok = ok and rep["all_ok"]
+        ok = ok and rep["all_ok"] and complete and insulated is not False
 
     report = {"suite": "duality", "rows": rows, "all_ok": ok}
     if full:

@@ -3,8 +3,10 @@
 Everything here is written from the definitions, independent of the package
 internals, and only meant for tiny inputs. The exceptions are earlier routes
 kept as references for what replaced them: `circuits_by_scan` (for the
-independence-table walk of `Matroid.circuits`), `recursion_cocircuits` (for the
-labelling search), which reuses the package's lift rank and crossing list,
+independence-table walk of `Matroid.circuits`), `check_cocircuit` (for the
+one-pass cocircuit test), |Z| + 1 calls of a rank function,
+`recursion_cocircuits` (for the labelling search), which reuses the
+package's lift rank and crossing list and checks with `check_cocircuit`,
 `crossing_list_rank` (for the union-find lift rank), the graphic rank of the
 identified graph plus a scan of the crossing list, and three routes in
 Fraction arithmetic (for the integer kernels): `fraction_response`, the
@@ -31,7 +33,7 @@ from itertools import combinations
 from dirmat import electrical
 
 from dirmat.circular import _trace_faces
-from dirmat.dirichlet import _check_cocircuit, _lift_engine
+from dirmat.dirichlet import _lift_engine
 from dirmat.electrical import laplacian
 from dirmat.errors import BadParameter, GraphTooLarge, GroundTooLarge, NotPlanar
 from dirmat.families import random_network
@@ -223,6 +225,22 @@ def circuits_by_scan(matroid, within=None, limit=16):
     return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
 
 
+def check_cocircuit(rank, full_mask, r, zmask):
+    """Whether zmask is a cocircuit of the matroid of rank function `rank`
+    and full rank r: its complement has rank r - 1, and adding back any one
+    of its elements restores rank r (|Z| + 1 rank calls)."""
+    hmask = full_mask & ~zmask
+    if rank(hmask) != r - 1:
+        return False
+    m = zmask
+    while m:
+        b = m & -m
+        if rank(hmask | b) != r:
+            return False
+        m ^= b
+    return True
+
+
 def recursion_cocircuits(net, node_limit=4_000_000):
     """All cocircuits of the network matroid, from bonds of the identified
     graph and a recursion over the maximal balanced edge sets: a set holding
@@ -270,7 +288,7 @@ def recursion_cocircuits(net, node_limit=4_000_000):
         for e, (a, b) in og.edges.items():
             if (a in side) != (b in side):
                 zmask |= 1 << eidx[e]
-        if zmask and _check_cocircuit(rank, full, r, zmask):
+        if zmask and check_cocircuit(rank, full, r, zmask):
             out.append(zmask)
 
     # maximal balanced spanning-connected sets
@@ -318,7 +336,7 @@ def recursion_cocircuits(net, node_limit=4_000_000):
         if rank(s) != nv - 1:
             continue
         zmask = (full_e & ~s) | eh_bit
-        if _check_cocircuit(rank, full, r, zmask):
+        if check_cocircuit(rank, full, r, zmask):
             out.append(zmask)
 
     labels = list(order) + [EH]

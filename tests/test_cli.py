@@ -241,6 +241,17 @@ def test_grove_listing_over_the_limit_exits_1():
     assert proc.stderr == "error: 2663040 groves exceeds the grove limit 100000\n"
 
 
+def test_theorem_check_over_the_bond_budget_exits_1(capsys):
+    # 2^24 vertex bipartitions: refused before the bond scan starts
+    rc = cli.run(["dual", "--gen", "sunflower:24", "--theorem-check"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert err == (
+        "error: cocircuit search: 16777216 vertex bipartitions exceed its "
+        "node budget of 4000000\n"
+    )
+
+
 def test_interlace_exit_codes(capsys):
     rc = cli.run(["electrical", "--gen", "path:3", "--interlace", "e1=2,e2=3", "e1=1,e2=1"])
     out, _ = capsys.readouterr()

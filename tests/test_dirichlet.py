@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from dirmat import dirichlet
 from dirmat.circular import dual_network
 from dirmat.dirichlet import (
     _lift_engine,
@@ -26,6 +28,7 @@ from dirmat.verify import circular_corpus, corpus
 
 from bruteforce import (
     brute_independent,
+    check_cocircuit,
     crossing_list_rank,
     recursion_cocircuits,
     seeded_random_networks,
@@ -133,6 +136,48 @@ def test_cocircuits_match_recursion():
     nets += seeded_random_networks(24)
     for net in nets:
         assert network_cocircuits(net) == recursion_cocircuits(net), net.name
+
+
+def cocircuit_test_mismatches():
+    """The masks where the one-pass cocircuit test and the rank test differ:
+    on every corpus, circular-corpus and seeded random network and
+    sunflower(6), every cocircuit, each with one element toggled, and 100
+    seeded masks with `eh` and 100 without."""
+    rng = random.Random("cocircuit-test")
+    nets = corpus() + circular_corpus() + [sunflower(6)]
+    nets += seeded_random_networks(24)
+    out = []
+    for net in nets:
+        n = len(net.edges)
+        rank = _lift_engine(net)
+        full = (1 << (n + 1)) - 1
+        r = rank(full)
+        test = dirichlet._cocircuit_test(net)
+        mask_of = dirichlet_matroid(net).mask_of
+        cocircuits = [mask_of(z) for z in network_cocircuits(net)]
+        masks = cocircuits + [z ^ 1 << i for z in cocircuits for i in range(n + 1)]
+        masks += [rng.getrandbits(n) | eh for eh in (0, 1 << n) for _ in range(100)]
+        out += [
+            (net.name, z) for z in masks if test(z) != check_cocircuit(rank, full, r, z)
+        ]
+    return out
+
+
+def test_one_pass_cocircuit_test_matches_the_rank_test():
+    assert cocircuit_test_mismatches() == []
+
+
+def test_bond_scan_is_charged_to_the_node_limit():
+    # 2^24 vertex bipartitions: refused before the scan starts
+    start = time.perf_counter()
+    with pytest.raises(GraphTooLarge):
+        network_cocircuits(sunflower(24))
+    assert time.perf_counter() - start < 1
+    # sunflower(3) scans 8 bipartitions and needs a budget of 39 labellings
+    assert len(network_cocircuits(sunflower(3), node_limit=47)) == 24
+    for limit in (7, 46):
+        with pytest.raises(GraphTooLarge):
+            network_cocircuits(sunflower(3), node_limit=limit)
 
 
 def test_cocircuit_counts_pinned():
