@@ -11,7 +11,8 @@ P0 and every pair polynomial off one call of the straight-line function
 compiled from their shared node table, kept on the network, and compare
 both sides of each identity in integers; the Rayleigh difference,
 the mixed form E_ij and the Wronskian are read off one value-and-partials
-pass over each polynomial's suffix-sharing DAG per point, and line
+pass over each polynomial's suffix-sharing DAG per point (the basis
+polynomial P_B = P1 + x_eh * P0's off those of P0 and P1), and line
 restrictions read the same polynomials' terms.
 Points are cleared to integers first: the grove polynomials are homogeneous,
 so scaling by the positive lcm of the denominators never changes a sign or
@@ -34,7 +35,7 @@ from .errors import (
     ZeroRestriction,
 )
 from .grovepoly import grove_polys
-from .network import derived
+from .network import EH, derived
 from .polynomials import IntPoly, table_program
 from .sturm import DEFAULT_WIDTH, interlace_check
 
@@ -361,11 +362,30 @@ def _wronskian(f, g, i):
     return f[0] * g[1][i] - f[1][i] * g[0]
 
 
-def _hpp_core(poly, trials, seed, salt):
+def _basis_differences(g0, g1, y):
+    """Rayleigh differences of P_B = P1 + y * P0, y = x_eh, from full()
+    outputs of P0 and P1 at the edges: one per pair i < j of edge_order +
+    (eh,), in the order of combinations. P_B's full() output is read off
+    theirs: the value is P1 + y * P0, d_e is d_e P1 + y * d_e P0, d_eh is
+    P0, d_ef is d_ef P1 + y * d_ef P0 and d_(e,eh) is d_e P0. So a
+    difference is delta_ef(P1) + y * E_ef(P0, P1) + y^2 * delta_ef(P0) for
+    two edges, and W_e(P0, P1) for an edge and eh.
+    """
+    (v0, f0, s0), (v1, f1, s1) = g0, g1
+    n = len(f0)
+    second = {k: s1.get(k, 0) + y * s0.get(k, 0) for k in s0.keys() | s1.keys()}
+    second.update(((i, n), d) for i, d in enumerate(f0))
+    f = (v1 + y * v0, [a + y * b for a, b in zip(f1, f0)] + [v0], second)
+    return [_delta(f, i, j) for i, j in combinations(range(n + 1), 2)]
+
+
+def _hpp_core(var_order, degree, differences, trials, seed, salt):
+    """Rayleigh differences of a polynomial, homogeneous of the given degree
+    over var_order, at seeded rational points: differences(vec) gives them at
+    an integer point, in var_order, one per pair i < j as combinations."""
     rng = random.Random(f"{salt}:{seed}")
-    var_order = poly.variables
     pairs = list(combinations(range(len(var_order)), 2))
-    rescale = 2 * poly.degree - 2
+    rescale = 2 * degree - 2
     min_val = None
     min_at = None
     violations = []
@@ -373,10 +393,9 @@ def _hpp_core(poly, trials, seed, salt):
     for _ in range(trials):
         pt = sample_point(rng, var_order)
         ints, c = scale_to_integers(pt)
-        f = poly.full([ints[v] for v in var_order])
         # one point's differences share the scale c^rescale: compare them as
         # integers, and scale back its first smallest one and the violations
-        ds = [_delta(f, i, j) for i, j in pairs]
+        ds = differences([ints[v] for v in var_order])
         checks += len(ds)
         violations += [
             ((var_order[i], var_order[j]), dict(pt), Fraction(d, c**rescale))
@@ -404,12 +423,21 @@ def hpp_sample(net, trials=100, seed=0):
     """Rayleigh differences of the basis polynomial at mixed-sign points.
 
     Samples seeded rational points over the edges plus the lift element and
-    checks delta >= 0 for every unordered variable pair. A negative value is
-    reported (with its witness), not raised.
+    checks delta >= 0 for every unordered variable pair. P_B = P1 + x_eh *
+    P0, homogeneous of P1's degree, is read off one full() pass over each
+    of P0 and P1 (_basis_differences). A negative value is reported (with
+    its witness), not raised.
     """
     if trials < 1:
         raise BadParameter("need at least one trial")
-    report = _hpp_core(grove_polys(net)["PB"], trials, seed, f"hpp:{net.name}")
+    gp = grove_polys(net)
+    p0, p1 = gp["P0"], gp["P1"]
+
+    def differences(vec):
+        return _basis_differences(p0.full(vec[:-1]), p1.full(vec[:-1]), vec[-1])
+
+    salt = f"hpp:{net.name}"
+    report = _hpp_core(net.edge_order + (EH,), p1.degree, differences, trials, seed, salt)
     report["network"] = net.name
     return report
 
@@ -521,14 +549,12 @@ def interlacing_sweep(net, lines=20, seed=0, width=DEFAULT_WIDTH):
 
 
 def monotonicity_and_bound(net, trials=100, seed=0):
-    """Trace monotonicity identity and the Rayleigh lower bound, sampled.
+    """Trace monotonicity and the Rayleigh lower bound, sampled.
 
-    Checks three things at seeded points. First, the identity behind
-    monotonicity: delta_(eh,f)(P_B) equals the Wronskian W_f(P0, P1), and is
-    nonnegative. Since P_B = P1 + x_eh * P0, the equality holds for any two
-    polynomials, and both sides run full() on the same grove lists, so it is
-    a self-consistency check of full(), not a comparison of two routes; the
-    sign is the check that carries weight. Second, at
+    Checks three things at seeded points over the edges and eh. First, the
+    sign behind monotonicity: the Wronskian W_f(P0, P1), which is
+    delta_(eh,f)(P_B) since P_B = P1 + x_eh * P0, is nonnegative for every
+    edge f (counted as identity_checks). Second, at
     strictly positive points, a finite increase of one conductance never
     decreases the response trace (both traces via the Schur route). Third,
     the bound chain 4 * delta_ef(P0) * delta_ef(P1) >= E_ef(P0,P1)^2 with
@@ -540,27 +566,21 @@ def monotonicity_and_bound(net, trials=100, seed=0):
         raise BadParameter("need at least one trial")
     gp = grove_polys(net)
     edges = net.edge_order
-    extended = gp["PB"].variables
     rng = random.Random(f"monotone:{net.name}:{seed}")
-    eh_idx = len(edges)
     failures = []
     skipped_pairs = 0
     bound_checks = 0
     identity_checks = 0
     for _ in range(trials):
-        pt = sample_point(rng, extended)
+        # eh is drawn too, so that the seeded stream stays as it was
+        pt = sample_point(rng, edges + (EH,))
         ints, _ = scale_to_integers(pt)
-        vec = [ints[v] for v in extended]
-        gb = gp["PB"].full(vec)
-        g0 = gp["P0"].full(vec[:-1])
-        g1 = gp["P1"].full(vec[:-1])
+        vec = [ints[v] for v in edges]
+        g0 = gp["P0"].full(vec)
+        g1 = gp["P1"].full(vec)
         for i, e in enumerate(edges):
-            lhs = _delta(gb, i, eh_idx)
-            rhs = _wronskian(g0, g1, i)
             identity_checks += 1
-            if lhs != rhs:
-                failures.append(("identity", e, dict(pt)))
-            if lhs < 0:
+            if _wronskian(g0, g1, i) < 0:
                 failures.append(("negative", e, dict(pt)))
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):

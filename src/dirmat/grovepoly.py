@@ -1,8 +1,9 @@
 """Grove generating polynomials and chromatic-style invariants.
 
-The weighted grove counts of a network live in MultiAffinePoly (one variable
-per edge, and one more, eh, in the basis polynomial). grove_polys builds them
-once per network and keeps them on it (network.derived); every evaluation,
+The weighted grove counts of a network live in MultiAffinePoly, one variable
+per edge; the basis polynomial P_B = P1 + x_eh * P0 has none of its own, and
+its callers read it off P0 and P1. grove_polys builds them once per network
+and keeps them on it (network.derived); every evaluation,
 partial and line restriction of a grove polynomial reads them there, and
 each polynomial compiles its terms into a suffix-sharing DAG the first time
 it is evaluated. Next to them it keeps one node table shared by P0 and the
@@ -17,47 +18,37 @@ polynomial obtained from it by exact division by a falling factorial.
 """
 
 from .errors import BadParameter, GraphTooLarge
-from .network import EH, add_boundary_clique, derived, grove_crossing, groves
+from .network import add_boundary_clique, derived, grove_crossing, groves
 from .polynomials import IntPoly, MultiAffinePoly, compile_dag
 
 
 def grove_polys(net):
-    """Grove generating polynomials of a network.
+    """Grove generating polynomials of a network, over edge_order.
 
     Returns a dict with keys "P0" (groves with no crossing), "P1" (groves
-    with exactly one crossing), "PB", the basis polynomial P1 + x_eh * P0
-    over edge_order + (eh,), and "pairs", a dict mapping each unordered
+    with exactly one crossing), and "pairs", a dict mapping each unordered
     boundary pair (i, j), as a sorted tuple, to the generating polynomial of
     the one-crossing groves whose crossing joins i and j. Pairs never hit by
-    a crossing are absent. P0, P1 and the pair polynomials are over
-    edge_order. "table" is compile_dag's (nodes, roots) for P0 and the pair
-    polynomials: roots[0] is P0's and roots[1:] the pairs', in the order of
-    "pairs".
-
-    The bucket decomposition is checked on the spot: the pair polynomials'
-    terms, taken together, must be P1's, so P1's value is exactly the sum of
-    the pairs' values. Results are kept on the network.
+    a crossing are absent. Each one-crossing grove falls in exactly one
+    pair's bucket, so the pairs' terms, taken together, are P1's. "table" is
+    compile_dag's (nodes, roots) for P0 and the pair polynomials: roots[0]
+    is P0's and roots[1:] the pairs', in the order of "pairs". Results are
+    kept on the network.
     """
     return derived(net, "grove_polys", _build_grove_polys)
 
 
 def _build_grove_polys(net):
     edges = net.edge_order
-    none = groves(net, "no-crossing")
+    p0 = MultiAffinePoly(edges, groves(net, "no-crossing"))
     ones = groves(net, "one-crossing")
-    p1 = MultiAffinePoly(edges, ones)
     buckets = {}
     for fs in ones:
         buckets.setdefault(grove_crossing(net, fs), []).append(fs)
     pairs = {pair: MultiAffinePoly(edges, fam) for pair, fam in sorted(buckets.items())}
-    if sorted(t for poly in pairs.values() for t in poly.terms) != sorted(p1.terms):
-        raise BadParameter("pair buckets do not add up to the one-crossing count")
-    basis = list(ones) + [fs | {EH} for fs in none]
-    p0 = MultiAffinePoly(edges, none)
     return {
         "P0": p0,
-        "P1": p1,
-        "PB": MultiAffinePoly(edges + (EH,), basis),
+        "P1": MultiAffinePoly(edges, ones),
         "pairs": pairs,
         "table": compile_dag([p0.terms] + [poly.terms for poly in pairs.values()]),
     }

@@ -243,21 +243,6 @@ def _multiplicity_in(factors, lo, hi):
     return 0
 
 
-def isolate_roots(p, width=DEFAULT_WIDTH):
-    """All real roots of p with multiplicities: [(lo, hi, mult), ...]."""
-    if p.is_zero():
-        raise BadParameter("isolating roots of the zero polynomial")
-    if p.degree() < 1:
-        return []
-    s = squarefree_part(p)
-    factors = [(_int_coeffs(f), k) for f, k in yun_decomposition(p)]
-    out = []
-    for lo, hi in isolate_squarefree(s, width):
-        mult = _multiplicity_in(factors, lo, hi)
-        out.append((lo, hi, mult))
-    return out
-
-
 def interlace_check(low, high, width=DEFAULT_WIDTH):
     """Do the real roots of `low` interlace those of `high`?
 

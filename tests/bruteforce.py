@@ -20,11 +20,14 @@ checks on one shared node table in integers), which evaluates P1 and each
 pair polynomial on its own and compares the response's Fraction entries; and
 the DAG's own evaluators (for the function compiled from the shared node
 table): `dag_values`, every node's value from one loop over the table, and
-`dag_value`, a polynomial's value off its own DAG. `hpp_scan_poly` runs the
-package's Rayleigh sweep on any polynomial, for its negative control. The
-duality tests also use `sphere_dual`, which reuses the package's face
-tracing, and `relabel_iso`, a vertex bijection between two graphs with the
-same edge labels.
+`dag_value`, a polynomial's value off its own DAG; and `basis_poly` (for
+the basis polynomial read off P0 and P1), P_B built as a polynomial of its
+own from the grove lists. `hpp_scan_poly` runs the package's Rayleigh
+sweep on any polynomial, for its negative control, and `isolate_roots`
+lists a polynomial's real roots with their multiplicities from the
+package's root isolation. The duality tests also use `sphere_dual`, which
+reuses the package's face tracing, and `relabel_iso`, a vertex bijection
+between two graphs with the same edge labels.
 """
 
 from fractions import Fraction
@@ -38,7 +41,16 @@ from dirmat.electrical import laplacian
 from dirmat.errors import BadParameter, GraphTooLarge, GroundTooLarge, NotPlanar
 from dirmat.families import random_network
 from dirmat.matroid import graphic_rank
-from dirmat.network import EH, MultiGraph, crossing_masks, identify_boundary
+from dirmat.network import EH, MultiGraph, crossing_masks, groves, identify_boundary
+from dirmat.polynomials import MultiAffinePoly
+from dirmat.sturm import (
+    DEFAULT_WIDTH,
+    _int_coeffs,
+    _multiplicity_in,
+    isolate_squarefree,
+    squarefree_part,
+    yun_decomposition,
+)
 
 
 def brute_crossings(net):
@@ -460,6 +472,20 @@ def frac_sturm_chain(coeffs):
     return chain
 
 
+def isolate_roots(p, width=DEFAULT_WIDTH):
+    """All real roots of p with multiplicities: [(lo, hi, mult), ...], from
+    the package's squarefree isolation and Yun decomposition."""
+    if p.is_zero():
+        raise BadParameter("isolating roots of the zero polynomial")
+    if p.degree() < 1:
+        return []
+    factors = [(_int_coeffs(f), k) for f, k in yun_decomposition(p)]
+    return [
+        (lo, hi, _multiplicity_in(factors, lo, hi))
+        for lo, hi in isolate_squarefree(squarefree_part(p), width)
+    ]
+
+
 def term_value(poly, v):
     """A MultiAffinePoly's value at v by a loop over its terms.
 
@@ -506,7 +532,9 @@ def hpp_scan_poly(poly, trials=100, seed=0):
     """The package's Rayleigh sweep for an arbitrary multiaffine polynomial.
 
     Used to confirm the scanner can actually catch a failure: a polynomial
-    without the property must produce a violation witness.
+    without the property must produce a violation witness. The differences
+    are read off the polynomial's own full(); the minimum, the witness and
+    the violations come from the package's sweep.
     """
     if trials < 1:
         raise BadParameter("need at least one trial")
@@ -514,7 +542,22 @@ def hpp_scan_poly(poly, trials=100, seed=0):
         raise BadParameter("integer coefficients only in the scanner")
     if len({len(term) for _, term in poly.terms}) > 1:
         raise BadParameter("the scanner assumes a homogeneous polynomial")
-    return electrical._hpp_core(poly, trials, seed, "hpp-poly")
+    pairs = list(combinations(range(len(poly.variables)), 2))
+
+    def differences(vec):
+        f = poly.full(vec)
+        return [electrical._delta(f, i, j) for i, j in pairs]
+
+    return electrical._hpp_core(poly.variables, poly.degree, differences, trials, seed, "hpp-poly")
+
+
+def basis_poly(net):
+    """The basis polynomial P_B = P1 + x_eh * P0 as a MultiAffinePoly of its
+    own over edge_order + (eh,), one term per basis of the network matroid:
+    the one-crossing groves, and the no-crossing groves with eh."""
+    none = groves(net, "no-crossing")
+    ones = groves(net, "one-crossing")
+    return MultiAffinePoly(net.edge_order + (EH,), list(ones) + [fs | {EH} for fs in none])
 
 
 def term_full(poly, v):

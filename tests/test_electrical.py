@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -19,11 +20,12 @@ from dirmat.electrical import (
 from dirmat.errors import BadParameter, SingularInterior
 from dirmat.families import hexwheel, path, star, triangle, wheatstone
 from dirmat.grovepoly import grove_polys
-from dirmat.network import EH, Network, derived, groves
+from dirmat.network import Network, derived, groves
 from dirmat.polynomials import MultiAffinePoly, table_program
 from dirmat.verify import corpus
 
 from bruteforce import (
+    basis_poly,
     fraction_point_identities,
     fraction_response,
     hpp_scan_poly,
@@ -191,14 +193,10 @@ def test_a_planted_grove_table_defect_fails_the_identities():
 def test_delta_eval_pinned_path3():
     # the basis polynomial of the two-edge path is x1 x2 + x_eh (x1 + x2);
     # its Rayleigh difference at (eh, e1) is x2^2
-    net = path(3)
-    order = net.edge_order + (EH,)
-    family = list(groves(net, "one-crossing"))
-    family += [fs | {EH} for fs in groves(net, "no-crossing")]
-    ev = MultiAffinePoly(order, family)
+    ev = basis_poly(path(3))
     rng = random.Random(4)
     for _ in range(25):
-        x = [rng.randint(-9, 9) for _ in order]
+        x = [rng.randint(-9, 9) for _ in ev.variables]
         value, first, second = ev.full(x)
         delta = first[0] * first[2] - value * second.get((0, 2), 0)
         assert delta == x[1] ** 2
@@ -234,6 +232,32 @@ def test_hpp_scan_flags_a_counterexample():
     rep = hpp_scan_poly(poly, trials=300, seed=0)
     assert not rep["all_nonnegative"]
     assert rep["violations"]
+
+
+def basis_difference_mismatches():
+    """(network, point) wherever the Rayleigh differences that hpp_sample
+    reads off P0 and P1 differ from those of the basis polynomial built as
+    a polynomial of its own, on every corpus network and 20 seeded random
+    networks, at mixed-sign integer points with 0, 1 and 2 zeros (eh is
+    the last coordinate)."""
+    rng = random.Random("basis-differences")
+    out = []
+    for net in corpus() + seeded_random_networks(20):
+        gp = grove_polys(net)
+        basis = basis_poly(net)
+        pairs = list(combinations(range(len(basis.variables)), 2))
+        for _ in range(2):
+            for vec in integer_points(rng, len(basis.variables), 30):
+                f = basis.full(vec)
+                want = [electrical._delta(f, i, j) for i, j in pairs]
+                g0, g1 = gp["P0"].full(vec[:-1]), gp["P1"].full(vec[:-1])
+                if electrical._basis_differences(g0, g1, vec[-1]) != want:
+                    out.append((net.name, vec))
+    return out
+
+
+def test_basis_differences_match_the_basis_polynomial():
+    assert basis_difference_mismatches() == []
 
 
 def test_proper_position_sweep():

@@ -5,7 +5,7 @@ import pytest
 
 from dirmat.dirichlet import dirichlet_matroid
 from dirmat.errors import BadParameter
-from dirmat.families import double_path, hexwheel, path, star, sunflower, triangle
+from dirmat.families import hexwheel, path, star, sunflower, triangle
 from dirmat.grovepoly import (
     chromatic_poly,
     count_precolorings,
@@ -20,6 +20,7 @@ from dirmat.polynomials import IntPoly, MultiAffinePoly, table_program, table_so
 from dirmat.verify import corpus
 
 from bruteforce import (
+    basis_poly,
     brute_color_count,
     dag_value,
     dag_values,
@@ -57,9 +58,12 @@ def test_grove_counts_pinned():
 
 
 def test_pair_buckets_cover_p1():
-    for net in [triangle(), star(4), double_path()]:
+    # each one-crossing grove goes into exactly one pair's bucket, so the
+    # pairs' terms, taken together, are P1's as a multiset
+    for net in corpus():
         gp = grove_polys(net)
-        assert sum(_count(p) for p in gp["pairs"].values()) == _count(gp["P1"])
+        terms = sorted(t for poly in gp["pairs"].values() for t in poly.terms)
+        assert terms == sorted(gp["P1"].terms), net.name
 
 
 def _at(vec, i, val):
@@ -77,7 +81,7 @@ def test_multiaffine_partials_and_lines_against_values():
     assert len(nets) >= 20
     for net in nets:
         gp = grove_polys(net)
-        for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
+        for poly in [gp["P0"], gp["P1"], basis_poly(net), *gp["pairs"].values()]:
             n = len(poly.variables)
             for _ in range(3):
                 vec = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
@@ -131,7 +135,7 @@ def test_value_and_full_match_the_term_loops():
                 assert [val[r] for r in roots] == want
                 assert list(program(*vec)) == want
                 vec[rng.randrange(len(vec))] = Fraction(rng.randint(-9, 9), 7)
-        for poly in [gp["P0"], gp["P1"], gp["PB"], *gp["pairs"].values()]:
+        for poly in [gp["P0"], gp["P1"], basis_poly(net), *gp["pairs"].values()]:
             for vec in integer_points(rng, len(poly.variables), 60):
                 _agree_with_term_loops(poly, vec)
                 # the DAG takes any exact number; the oracle's value does too
@@ -169,16 +173,19 @@ def test_dag_matches_the_term_loops_on_arbitrary_coefficients():
 
 def test_dag_node_counts_pinned():
     # equal suffixes are merged: a plain trie of sunflower(5)'s one-crossing
-    # groves would keep 4,462 nodes
-    gp = grove_polys(sunflower(5))
-    for name, terms, nodes, edges in [("P1", 2280, 243, 1058), ("PB", 3002, 304, 1300)]:
-        dag = gp[name].dag()
-        assert len(gp[name].terms) == terms
+    # groves would keep 4,462 nodes. The basis polynomial is the oracle's,
+    # built from the grove lists, so full() on 17 variables stays covered
+    net = sunflower(5)
+    for poly, terms, nodes, edges in [
+        (grove_polys(net)["P1"], 2280, 243, 1058),
+        (basis_poly(net), 3002, 304, 1300),
+    ]:
+        dag = poly.dag()
+        assert len(poly.terms) == terms
         assert len(dag) == nodes
         assert sum(len(out) for _, out in dag) == edges
     # the table P0 shares with the pair polynomials: apart, their DAGs hold
     # 939 nodes and 2,281 edges on sunflower(5), and 832 and 1,471 on
-    # hexwheel(6)
     # hexwheel(6). Its function has a line per node, and three more in each
     # of the 9 pieces of up to 64 nodes, and the entry point 12 more
     for net, polys, nodes, edges, lines in [

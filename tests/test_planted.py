@@ -8,10 +8,11 @@ Each check passes on the real code in its own module.
 """
 
 import sys
+from itertools import combinations
 
 import pytest
 
-from dirmat import circular, dirichlet
+from dirmat import circular, dirichlet, electrical
 from dirmat.families import path, star, sunflower, wheatstone
 from dirmat.matroid import Matroid
 from dirmat.network import EH
@@ -20,6 +21,7 @@ from dirmat.verify import run_suite
 from test_circuits import DUAL_CIRCUIT_COUNTS, circuit_mismatches, dual_circuit_counts
 from test_circular import non_cocircuits_refused
 from test_dirichlet import cocircuit_test_mismatches
+from test_electrical import basis_difference_mismatches
 
 
 def drop_first(circuits):
@@ -105,6 +107,25 @@ def drop_second_half(cocircuits):
     return planted
 
 
+def mixed_term_times(k):
+    """The basis polynomial's differences for two edges with the y * E_ef(P0,
+    P1) term multiplied by k: 0 drops it, -1 flips its sign. Criterion 6
+    cannot see either, since 4 * delta(P0) * delta(P1) >= E^2 keeps
+    delta(P1) + k * y * E + y^2 * delta(P0) nonnegative for |k| <= 1."""
+
+    def plant(differences):
+        def planted(g0, g1, y):
+            n = len(g0[1])
+            return [
+                d + (k - 1) * y * electrical._mixed(g0, g1, i, j) if j < n else d
+                for d, (i, j) in zip(differences(g0, g1, y), combinations(range(n + 1), 2))
+            ]
+
+        return planted
+
+    return plant
+
+
 CHECKS = {
     "circuits match the scan": lambda: circuit_mismatches() == [],
     "dual circuit counts": lambda: dual_circuit_counts() == DUAL_CIRCUIT_COUNTS,
@@ -116,6 +137,7 @@ CHECKS = {
     "oracle suite": lambda: run_suite(
         "oracles", nets=[path(3), star(3), sunflower(3)]
     )["all_ok"],
+    "basis differences match the basis polynomial": lambda: basis_difference_mismatches() == [],
 }
 
 ROWS = [
@@ -134,6 +156,10 @@ ROWS = [
      drop_second_half, ("duality suite",)),
     ("lift rank drops the crossing bump", dirichlet, "_lift_engine",
      without_the_crossing_bump, ("oracle suite",)),
+    ("basis differences drop y * E", electrical, "_basis_differences", mixed_term_times(0),
+     ("basis differences match the basis polynomial",)),
+    ("basis differences flip the sign of y * E", electrical, "_basis_differences",
+     mixed_term_times(-1), ("basis differences match the basis polynomial",)),
 ]
 
 

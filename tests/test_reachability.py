@@ -16,10 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dirmat"
 SCANNED = [PACKAGE, ROOT / "perfbench"]
 
-# Reached only from tests, on purpose: root isolation on its own, and the
-# JSON writer the file-loading tests use.
+# Reached only from tests, on purpose: the JSON writer the file-loading
+# tests use.
 ALLOWED = {
-    "isolate_roots",
     "Network.to_json",
 }
 

@@ -11,7 +11,6 @@ from dirmat.sturm import (
     _int_coeffs,
     _variations,
     interlace_check,
-    isolate_roots,
     poly_gcd,
     squarefree_part,
     sturm_chain,
@@ -19,7 +18,7 @@ from dirmat.sturm import (
 )
 from dirmat.verify import corpus
 
-from bruteforce import frac_gcd, frac_sturm_chain
+from bruteforce import frac_gcd, frac_sturm_chain, isolate_roots
 
 
 def poly_from_roots(roots):
